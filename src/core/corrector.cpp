@@ -1,17 +1,16 @@
 #include "core/corrector.h"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
 #include <limits>
 
 #include "core/serialize.h"
+#include "deploy/config.h"
 #include "deploy/deployment_model.h"
 #include "deploy/gz_table.h"
+#include "deploy/likelihood.h"
 #include "deploy/observation.h"
 #include "geom/aabb.h"
 #include "geom/vec2.h"
-#include "stats/special.h"
 #include "util/assert.h"
 
 namespace lad {
@@ -19,15 +18,12 @@ namespace lad {
 LocationCorrector::LocationCorrector(const DeploymentModel& model,
                                      const GzTable& gz, double penalty_cap,
                                      int seeds, double tol_meters)
-    : model_(&model), gz_(&gz), penalty_cap_(penalty_cap), seeds_(seeds),
-      tol_meters_(tol_meters) {
+    : model_(&model), likelihood_(model, gz), penalty_cap_(penalty_cap),
+      seeds_(seeds), tol_meters_(tol_meters),
+      group_caps_(static_cast<std::size_t>(model.num_groups()), penalty_cap) {
   LAD_REQUIRE_MSG(penalty_cap > 0, "penalty cap must be positive");
   LAD_REQUIRE_MSG(seeds >= 1, "need at least one search seed");
   LAD_REQUIRE_MSG(tol_meters > 0, "tolerance must be positive");
-}
-
-namespace {
-constexpr double kPFloor = 1e-300;  // see BeaconlessMleLocalizer
 }
 
 void LocationCorrector::apply_group_spread(const DetectorBundle& bundle) {
@@ -59,52 +55,12 @@ double LocationCorrector::cap_for_group(int group) const {
   LAD_REQUIRE_MSG(group >= 0 && group < model_->num_groups(),
                   "group " << group << " out of range [0, "
                            << model_->num_groups() << ")");
-  return group_caps_.empty() ? penalty_cap_
-                             : group_caps_[static_cast<std::size_t>(group)];
-}
-
-double LocationCorrector::group_term(int count, Vec2 theta, int group) const {
-  const int m = model_->config().nodes_per_group;
-  double p = gz_->at(theta, model_->deployment_point(group));
-  if (p < kPFloor) p = kPFloor;
-  const double term = log_binomial_pmf(count, m, p);
-  return std::max(term, -cap_for_group(group));
+  return group_caps_[static_cast<std::size_t>(group)];
 }
 
 double LocationCorrector::robust_log_likelihood(const Observation& obs,
                                                 Vec2 theta) const {
-  double ll = 0.0;
-  for (std::size_t g = 0; g < obs.num_groups(); ++g) {
-    ll += group_term(obs.counts[g], theta, static_cast<int>(g));
-  }
-  return ll;
-}
-
-Vec2 LocationCorrector::pattern_search(const Observation& obs,
-                                       Vec2 seed) const {
-  const Aabb field = model_->config().field();
-  Vec2 best = field.clamp(seed);
-  double best_ll = robust_log_likelihood(obs, best);
-  double pitch = model_->config().field_side /
-                 (2.0 * std::max(model_->config().grid_nx,
-                                 model_->config().grid_ny));
-  static constexpr std::array<Vec2, 8> kDirs = {
-      Vec2{1, 0},  Vec2{-1, 0}, Vec2{0, 1},  Vec2{0, -1},
-      Vec2{1, 1},  Vec2{1, -1}, Vec2{-1, 1}, Vec2{-1, -1}};
-  while (pitch >= tol_meters_) {
-    bool improved = false;
-    for (const Vec2& d : kDirs) {
-      const Vec2 cand = field.clamp(best + d * pitch);
-      const double ll = robust_log_likelihood(obs, cand);
-      if (ll > best_ll) {
-        best_ll = ll;
-        best = cand;
-        improved = true;
-      }
-    }
-    if (!improved) pitch /= 2.0;
-  }
-  return best;
+  return likelihood_.capped_log_likelihood(obs, theta, group_caps_);
 }
 
 Vec2 LocationCorrector::max_prior_deployment_point() const {
@@ -167,10 +123,18 @@ CorrectionResult LocationCorrector::correct(const Observation& obs) const {
         model_->deployment_point(by_count[static_cast<std::size_t>(s)].second));
   }
 
+  const DeploymentConfig& cfg = model_->config();
+  const Aabb field = cfg.field();
+  const double pitch =
+      cfg.field_side / (2.0 * std::max(cfg.grid_nx, cfg.grid_ny));
+  const auto objective = [&](Vec2 theta) {
+    return robust_log_likelihood(obs, theta);
+  };
   Vec2 best{};
   double best_ll = -std::numeric_limits<double>::infinity();
   for (const Vec2& seed : starts) {
-    const Vec2 cand = pattern_search(obs, seed);
+    const Vec2 cand =
+        pattern_search(field, field.clamp(seed), pitch, tol_meters_, objective);
     const double ll = robust_log_likelihood(obs, cand);
     if (ll > best_ll) {
       best_ll = ll;
@@ -182,8 +146,8 @@ CorrectionResult LocationCorrector::correct(const Observation& obs) const {
   result.corrected = best;
   result.robust_ll = best_ll;
   for (std::size_t g = 0; g < obs.num_groups(); ++g) {
-    if (group_term(obs.counts[g], best, static_cast<int>(g)) <=
-        -cap_for_group(static_cast<int>(g))) {
+    if (likelihood_.term(obs.counts[g], best, static_cast<int>(g)) <=
+        -group_caps_[g]) {
       result.capped_groups.push_back(static_cast<int>(g));
     }
   }

@@ -36,6 +36,7 @@
 
 #include "deploy/deployment_model.h"
 #include "deploy/gz_table.h"
+#include "deploy/likelihood.h"
 #include "deploy/observation.h"
 #include "geom/vec2.h"
 
@@ -85,15 +86,12 @@ class LocationCorrector {
   Vec2 max_prior_deployment_point() const;
 
  private:
-  Vec2 pattern_search(const Observation& obs, Vec2 seed) const;
-  double group_term(int count, Vec2 theta, int group) const;
-
   const DeploymentModel* model_;
-  const GzTable* gz_;
+  BinomialLikelihood likelihood_;
   double penalty_cap_;
   int seeds_;
   double tol_meters_;
-  /// Per-group caps; empty until apply_group_spread installs them.
+  /// Per-group caps: the base cap until apply_group_spread conditions them.
   std::vector<double> group_caps_;
 };
 

@@ -1,15 +1,14 @@
 #include "loc/beaconless_mle.h"
 
-#include <array>
-#include <cmath>
+#include <algorithm>
 
+#include "deploy/config.h"
 #include "deploy/deployment_model.h"
 #include "deploy/gz_table.h"
+#include "deploy/likelihood.h"
 #include "deploy/observation.h"
-#include "geom/aabb.h"
 #include "geom/vec2.h"
 #include "loc/weighted_centroid.h"
-#include "stats/special.h"
 #include "util/assert.h"
 
 namespace lad {
@@ -17,58 +16,24 @@ namespace lad {
 BeaconlessMleLocalizer::BeaconlessMleLocalizer(const DeploymentModel& model,
                                                const GzTable& gz,
                                                double tol_meters)
-    : model_(&model), gz_(&gz), tol_meters_(tol_meters) {
+    : model_(&model), likelihood_(model, gz), tol_meters_(tol_meters) {
   LAD_REQUIRE_MSG(tol_meters > 0, "tolerance must be positive");
 }
 
 double BeaconlessMleLocalizer::log_likelihood(const Observation& obs,
                                               Vec2 theta) const {
-  const int m = model_->config().nodes_per_group;
-  // Floor on g_i: observing a node from a group whose probability at theta
-  // is (numerically) zero must make theta very unlikely, but not -inf -
-  // tainted observations would otherwise flatten the whole field to -inf
-  // and strand the search.  With the floor, locations explaining more of
-  // the observation still compare as strictly better.
-  constexpr double kPFloor = 1e-300;
-  double ll = 0.0;
-  for (std::size_t g = 0; g < obs.num_groups(); ++g) {
-    double p = gz_->at(theta, model_->deployment_point(static_cast<int>(g)));
-    if (p < kPFloor) p = kPFloor;
-    ll += log_binomial_pmf(obs.counts[g], m, p);
-  }
-  return ll;
+  return likelihood_.log_likelihood(obs, theta);
 }
 
 Vec2 BeaconlessMleLocalizer::estimate(const Observation& obs) const {
   LAD_REQUIRE_MSG(obs.num_groups() ==
                       static_cast<std::size_t>(model_->num_groups()),
                   "observation size mismatch");
-  const Aabb field = model_->config().field();
-  Vec2 best = weighted_centroid_estimate(*model_, obs);
-  double best_ll = log_likelihood(obs, best);
-
-  // Pattern search: 8-neighborhood stencil, halving the pitch on failure.
-  // Start at half a grid-cell so the seed can escape a wrong cell.
-  double pitch = model_->config().field_side /
-                 (2.0 * std::max(model_->config().grid_nx,
-                                 model_->config().grid_ny));
-  static constexpr std::array<Vec2, 8> kDirs = {
-      Vec2{1, 0},  Vec2{-1, 0}, Vec2{0, 1},  Vec2{0, -1},
-      Vec2{1, 1},  Vec2{1, -1}, Vec2{-1, 1}, Vec2{-1, -1}};
-  while (pitch >= tol_meters_) {
-    bool improved = false;
-    for (const Vec2& d : kDirs) {
-      const Vec2 cand = field.clamp(best + d * pitch);
-      const double ll = log_likelihood(obs, cand);
-      if (ll > best_ll) {
-        best_ll = ll;
-        best = cand;
-        improved = true;
-      }
-    }
-    if (!improved) pitch /= 2.0;
-  }
-  return best;
+  const DeploymentConfig& cfg = model_->config();
+  return pattern_search(
+      cfg.field(), weighted_centroid_estimate(*model_, obs),
+      cfg.field_side / (2.0 * std::max(cfg.grid_nx, cfg.grid_ny)),
+      tol_meters_, [&](Vec2 theta) { return log_likelihood(obs, theta); });
 }
 
 }  // namespace lad

@@ -9,8 +9,8 @@
 //
 // Search strategy (this is the part ref. [8] leaves to the implementer):
 //  1. seed at the observation-weighted centroid of deployment points,
-//  2. coarse-to-fine pattern search: evaluate the likelihood on a 5x5
-//     stencil around the incumbent, shrink the stencil when no improvement,
+//  2. coarse-to-fine pattern search (deploy/likelihood.h) from half a grid
+//     cell, so the seed can escape a wrong cell,
 //  3. stop when the stencil pitch drops below `tol_meters`.
 // The log-likelihood is smooth and unimodal near the truth for realistic
 // observations, so this converges in a few dozen evaluations.
@@ -18,6 +18,7 @@
 
 #include "deploy/deployment_model.h"
 #include "deploy/gz_table.h"
+#include "deploy/likelihood.h"
 #include "deploy/network.h"
 #include "deploy/observation.h"
 #include "geom/vec2.h"
@@ -49,7 +50,7 @@ class BeaconlessMleLocalizer final : public Localizer {
 
  private:
   const DeploymentModel* model_;
-  const GzTable* gz_;
+  BinomialLikelihood likelihood_;
   double tol_meters_;
 };
 

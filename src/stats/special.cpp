@@ -1,5 +1,6 @@
 #include "stats/special.h"
 
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -34,6 +35,16 @@ double lgamma_threadsafe(double x) {
 
 double log_factorial(int n) {
   LAD_REQUIRE_MSG(n >= 0, "factorial of a negative number");
+  // Filled once by the first caller (a magic static, so concurrent first
+  // calls are safe); every log-binomial term reads three entries.
+  static const std::array<double, kLogFactorialTableSize> table = [] {
+    std::array<double, kLogFactorialTableSize> t{};
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      t[i] = lgamma_threadsafe(static_cast<double>(i) + 1.0);
+    }
+    return t;
+  }();
+  if (n < kLogFactorialTableSize) return table[static_cast<std::size_t>(n)];
   return lgamma_threadsafe(static_cast<double>(n) + 1.0);
 }
 

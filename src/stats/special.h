@@ -5,7 +5,10 @@
 
 namespace lad {
 
-/// log(n!) via lgamma; exact for the integers we use.
+/// log(n!) for n < kLogFactorialTableSize comes from a table filled once,
+/// on first use, with lgamma_r(n + 1); larger n call lgamma_r(n + 1)
+/// directly.  Either way the value is bit-identical to lgamma_r(n + 1).
+inline constexpr int kLogFactorialTableSize = 4096;
 double log_factorial(int n);
 
 /// log C(n, k); requires 0 <= k <= n.

@@ -172,7 +172,10 @@ TEST(LatchedCache, ThrowingBuilderRethrowsToEveryWaiterAndRebuilds) {
 TEST(LatchedCache, WaitersBlockedOnThrowingBuilderAllRethrow) {
   // Deterministic version of the race: the builder holds the latch until
   // every waiter has queued up, then throws - all of them must rethrow.
+  // The waiters start only once the throwing builder is running inside its
+  // lambda, so it owns the entry and no waiter can insert the key first.
   LatchedCache<int> cache;
+  std::atomic<bool> building{false};
   std::atomic<int> waiting{0};
   std::atomic<int> failures{0};
   constexpr int kWaiters = 3;
@@ -180,6 +183,7 @@ TEST(LatchedCache, WaitersBlockedOnThrowingBuilderAllRethrow) {
   std::thread builder([&] {
     try {
       cache.get("k", [&]() -> std::unique_ptr<int> {
+        building = true;
         while (waiting.load() < kWaiters) std::this_thread::yield();
         throw AssertionError("deterministic failure");
       });
@@ -187,6 +191,7 @@ TEST(LatchedCache, WaitersBlockedOnThrowingBuilderAllRethrow) {
       ++failures;
     }
   });
+  while (!building.load()) std::this_thread::yield();
   std::vector<std::thread> waiters;
   for (int t = 0; t < kWaiters; ++t) {
     waiters.emplace_back([&] {

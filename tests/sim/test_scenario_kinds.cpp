@@ -243,18 +243,23 @@ TEST(ScenarioRunnerKinds, ShardsPartitionTheNewKinds) {
 
 #ifdef LAD_SCENARIO_DIR
 
-// Runs a checked-in spec in quick mode at the given jobs count and
-// returns the emitted CSV bodies keyed by file name.
-std::vector<std::pair<std::string, std::string>> run_quick(
-    const std::string& scn, int jobs) {
-  namespace fs = std::filesystem;
+// A checked-in spec in quick mode at the given jobs count.
+ScenarioSpec quick_spec(const std::string& scn, int jobs) {
   ScenarioSpec spec =
       ScenarioSpec::load(std::string(LAD_SCENARIO_DIR) + "/" + scn);
   ScenarioOverrides o;
   o.quick = true;
   spec = apply_overrides(spec, o);
   spec.jobs = jobs;
+  return spec;
+}
 
+// Runs a checked-in spec in quick mode at the given jobs count and
+// returns the emitted CSV bodies keyed by file name.
+std::vector<std::pair<std::string, std::string>> run_quick(
+    const std::string& scn, int jobs) {
+  namespace fs = std::filesystem;
+  const ScenarioSpec spec = quick_spec(scn, jobs);
   const fs::path dir = fs::path(testing::TempDir()) /
                        ("lad_golden_" + spec.name + "_j" +
                         std::to_string(jobs));
@@ -271,15 +276,16 @@ std::vector<std::pair<std::string, std::string>> run_quick(
   return out;
 }
 
-// The checked-in specs for the new kinds are pinned by goldens: quick
-// mode must reproduce tests/data/scenario_goldens/ byte for byte, and a
-// concurrent run must match the sequential one exactly (the acceptance
-// bar shared by every scenario kind).
+// Checked-in specs pinned by goldens: quick mode must reproduce
+// tests/data/scenario_goldens/ byte for byte, and a concurrent run must
+// match the sequential one exactly (the acceptance bar shared by every
+// scenario kind).
 class ScenarioGoldens : public testing::TestWithParam<const char*> {};
 
 TEST_P(ScenarioGoldens, QuickModeMatchesTheGoldenAcrossJobs) {
   const auto sequential = run_quick(GetParam(), 1);
-  ASSERT_EQ(sequential.size(), 2u);  // every new kind emits two tables
+  ASSERT_EQ(sequential.size(),
+            ScenarioRunner(quick_spec(GetParam(), 1)).table_ids().size());
   for (const auto& [name, body] : sequential) {
     EXPECT_FALSE(body.empty()) << name;
     test::expect_matches_golden(body, "scenario_goldens/" + name);
@@ -291,6 +297,17 @@ TEST_P(ScenarioGoldens, QuickModeMatchesTheGoldenAcrossJobs) {
 INSTANTIATE_TEST_SUITE_P(NewKinds, ScenarioGoldens,
                          testing::Values("tab_time_evolving.scn",
                                          "tab_in_network.scn"));
+
+// The paper's own figures (Figs. 4-9) and the correction table: the specs
+// whose bytes rest on the MLE likelihood and its pattern search.
+INSTANTIATE_TEST_SUITE_P(PaperFigures, ScenarioGoldens,
+                         testing::Values("fig04_roc_metrics.scn",
+                                         "fig05_roc_attacks_small_d.scn",
+                                         "fig06_roc_attacks_large_d.scn",
+                                         "fig07_dr_vs_damage.scn",
+                                         "fig08_dr_vs_compromise.scn",
+                                         "fig09_dr_vs_density.scn",
+                                         "tab_correction.scn"));
 
 #endif  // LAD_SCENARIO_DIR
 
