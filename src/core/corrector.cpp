@@ -60,7 +60,7 @@ double LocationCorrector::cap_for_group(int group) const {
 
 double LocationCorrector::robust_log_likelihood(const Observation& obs,
                                                 Vec2 theta) const {
-  return likelihood_.capped_log_likelihood(obs, theta, group_caps_);
+  return likelihood_.bind(obs, group_caps_)(theta);
 }
 
 Vec2 LocationCorrector::max_prior_deployment_point() const {
@@ -81,9 +81,7 @@ Vec2 LocationCorrector::max_prior_deployment_point() const {
 }
 
 CorrectionResult LocationCorrector::correct(const Observation& obs) const {
-  LAD_REQUIRE_MSG(obs.num_groups() ==
-                      static_cast<std::size_t>(model_->num_groups()),
-                  "observation size mismatch");
+  BinomialLikelihood::Bound robust_ll = likelihood_.bind(obs, group_caps_);
 
   // Every group silenced: the observation carries no location evidence, so
   // a likelihood search is meaningless (and the observation-weighted
@@ -94,7 +92,7 @@ CorrectionResult LocationCorrector::correct(const Observation& obs) const {
   if (obs.total() == 0) {
     CorrectionResult result;
     result.corrected = max_prior_deployment_point();
-    result.robust_ll = robust_log_likelihood(obs, result.corrected);
+    result.robust_ll = robust_ll(result.corrected);
     result.capped_groups.resize(obs.num_groups());
     for (std::size_t g = 0; g < obs.num_groups(); ++g) {
       result.capped_groups[g] = static_cast<int>(g);
@@ -127,27 +125,19 @@ CorrectionResult LocationCorrector::correct(const Observation& obs) const {
   const Aabb field = cfg.field();
   const double pitch =
       cfg.field_side / (2.0 * std::max(cfg.grid_nx, cfg.grid_ny));
-  const auto objective = [&](Vec2 theta) {
-    return robust_log_likelihood(obs, theta);
-  };
-  Vec2 best{};
-  double best_ll = -std::numeric_limits<double>::infinity();
+  const auto objective = [&](Vec2 theta) { return robust_ll(theta); };
+  SearchResult best{{}, -std::numeric_limits<double>::infinity()};
   for (const Vec2& seed : starts) {
-    const Vec2 cand =
+    const SearchResult found =
         pattern_search(field, field.clamp(seed), pitch, tol_meters_, objective);
-    const double ll = robust_log_likelihood(obs, cand);
-    if (ll > best_ll) {
-      best_ll = ll;
-      best = cand;
-    }
+    if (found.ll > best.ll) best = found;
   }
 
   CorrectionResult result;
-  result.corrected = best;
-  result.robust_ll = best_ll;
+  result.corrected = best.at;
+  result.robust_ll = best.ll;
   for (std::size_t g = 0; g < obs.num_groups(); ++g) {
-    if (likelihood_.term(obs.counts[g], best, static_cast<int>(g)) <=
-        -group_caps_[g]) {
+    if (robust_ll.term(g, best.at) <= -group_caps_[g]) {
       result.capped_groups.push_back(static_cast<int>(g));
     }
   }

@@ -77,7 +77,9 @@ class LocationCorrector {
 
   CorrectionResult correct(const Observation& obs) const;
 
-  /// Capped log-likelihood of obs at theta (exposed for tests).
+  /// Capped log-likelihood of obs at theta.  correct() binds the
+  /// observation once instead; this one-shot form is for the tests and the
+  /// benchmark's per-call timing.
   double robust_log_likelihood(const Observation& obs, Vec2 theta) const;
 
   /// The deployment point where the deployment-density prior is highest -

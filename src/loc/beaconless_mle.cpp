@@ -22,18 +22,17 @@ BeaconlessMleLocalizer::BeaconlessMleLocalizer(const DeploymentModel& model,
 
 double BeaconlessMleLocalizer::log_likelihood(const Observation& obs,
                                               Vec2 theta) const {
-  return likelihood_.log_likelihood(obs, theta);
+  return likelihood_.bind(obs)(theta);
 }
 
 Vec2 BeaconlessMleLocalizer::estimate(const Observation& obs) const {
-  LAD_REQUIRE_MSG(obs.num_groups() ==
-                      static_cast<std::size_t>(model_->num_groups()),
-                  "observation size mismatch");
+  BinomialLikelihood::Bound loglik = likelihood_.bind(obs);
   const DeploymentConfig& cfg = model_->config();
-  return pattern_search(
+  const SearchResult found = pattern_search(
       cfg.field(), weighted_centroid_estimate(*model_, obs),
       cfg.field_side / (2.0 * std::max(cfg.grid_nx, cfg.grid_ny)),
-      tol_meters_, [&](Vec2 theta) { return log_likelihood(obs, theta); });
+      tol_meters_, [&](Vec2 theta) { return loglik(theta); });
+  return found.at;
 }
 
 }  // namespace lad

@@ -44,8 +44,9 @@ class BeaconlessMleLocalizer final : public Localizer {
   /// this is the entry point the detection pipeline uses.
   Vec2 estimate(const Observation& obs) const;
 
-  /// Log-likelihood of `obs` at location theta (exposed for tests and for
-  /// the probability metric's cross-checks).
+  /// Log-likelihood of `obs` at location theta.  estimate() binds the
+  /// observation once instead; this one-shot form is for the tests and the
+  /// benchmark's shadow search, which checks it against log_binomial_pmf.
   double log_likelihood(const Observation& obs, Vec2 theta) const;
 
  private:

@@ -59,8 +59,7 @@ double log_binomial_pmf(int k, int n, double p) {
   if (k < 0 || k > n) return kNegInf;
   if (p == 0.0) return k == 0 ? 0.0 : kNegInf;
   if (p == 1.0) return k == n ? 0.0 : kNegInf;
-  return log_binomial_coefficient(n, k) + k * std::log(p) +
-         (n - k) * std::log1p(-p);
+  return log_binomial_term(log_binomial_coefficient(n, k), k, n, p);
 }
 
 double binomial_pmf(int k, int n, double p) {

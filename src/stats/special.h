@@ -3,6 +3,8 @@
 // underflows double range), normal cdf, and log-gamma helpers.
 #pragma once
 
+#include <cmath>
+
 namespace lad {
 
 /// log(n!) for n < kLogFactorialTableSize comes from a table filled once,
@@ -14,7 +16,18 @@ double log_factorial(int n);
 /// log C(n, k); requires 0 <= k <= n.
 double log_binomial_coefficient(int n, int k);
 
-/// log Binom(k; n, p).  Exact conventions at the boundary:
+/// The in-support log-binomial term lbc + k log p + (n - k) log1p(-p), where
+/// lbc = log C(n, k), 0 <= k <= n and 0 < p < 1.  A zero exponent skips its
+/// log: both logs are negative there, so the product it stands for is
+/// -0.0, and x + -0.0 == x bit for bit - the skip is the full formula.
+inline double log_binomial_term(double lbc, int k, int n, double p) {
+  const double lp = k == 0 ? -0.0 : k * std::log(p);
+  const double lq = k == n ? -0.0 : (n - k) * std::log1p(-p);
+  return lbc + lp + lq;
+}
+
+/// log Binom(k; n, p) = log_binomial_term(log C(n, k), k, n, p) inside the
+/// support.  Exact conventions at the boundary:
 ///   p == 0:  log pmf = 0 if k == 0 else -inf
 ///   p == 1:  log pmf = 0 if k == n else -inf
 double log_binomial_pmf(int k, int n, double p);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "attack/adversary.h"
 #include "attack/displacement.h"
@@ -154,6 +155,24 @@ TEST_F(CorrectorTest, InvalidConstructionRejected) {
 
 TEST_F(CorrectorTest, SizeMismatchThrows) {
   EXPECT_THROW(corrector_.correct(Observation(3)), AssertionError);
+}
+
+// The public robust_log_likelihood reaches the kernel without correct()'s
+// checks; the kernel names a group-count mismatch instead of leaving it to
+// surface as a caps-size error (or, for the uncapped likelihood, as a
+// silently shorter sum).
+TEST_F(CorrectorTest, RobustLikelihoodRejectsAnObservationOfTheWrongSize) {
+  const std::size_t groups = static_cast<std::size_t>(model_.num_groups());
+  for (const std::size_t size : {groups - 1, groups + 1}) {
+    try {
+      corrector_.robust_log_likelihood(Observation(size), {500, 500});
+      ADD_FAILURE() << size << " groups accepted";
+    } catch (const AssertionError& e) {
+      EXPECT_NE(std::string(e.what()).find("observation has"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_F(CorrectorTest, AllZeroObservationHasDefinedBehavior) {

@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "util/assert.h"
 
 #include "deploy/config.h"
 #include "deploy/deployment_model.h"
 #include "deploy/gz_table.h"
+#include "deploy/likelihood.h"
 #include "deploy/network.h"
 #include "deploy/observation.h"
 #include "geom/vec2.h"
+#include "loc/weighted_centroid.h"
 #include "rng/rng.h"
 #include "stats/running_stats.h"
 
@@ -46,6 +51,47 @@ TEST_F(MleTest, LogLikelihoodPeaksNearTruth) {
   EXPECT_GT(ll_truth, mle_.log_likelihood(obs, far));
   const Vec2 far2 = cfg_.field().clamp(truth + Vec2{0, -300});
   EXPECT_GT(ll_truth, mle_.log_likelihood(obs, far2));
+}
+
+// The public log_likelihood reaches the kernel without estimate()'s
+// checks, so the kernel itself must refuse an observation that does not
+// have one count per group - a short one used to sum fewer terms silently.
+TEST_F(MleTest, LogLikelihoodRejectsAnObservationOfTheWrongSize) {
+  const std::size_t groups = static_cast<std::size_t>(model_.num_groups());
+  for (const std::size_t size : {groups - 1, groups + 1}) {
+    try {
+      mle_.log_likelihood(Observation(size), {500, 500});
+      ADD_FAILURE() << size << " groups accepted";
+    } catch (const AssertionError& e) {
+      EXPECT_NE(std::string(e.what()).find("observation has"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// A deterministic work counter: the exact number of likelihood evaluations
+// a fixed-seed batch of 50 estimates makes, through the same search
+// estimate() runs.  Any change to the search that scores more (or fewer)
+// points moves it, whatever the host noise.
+TEST_F(MleTest, SearchWorkIsPinned) {
+  const BinomialLikelihood kernel(model_, gz_);
+  const double pitch =
+      cfg_.field_side / (2.0 * std::max(cfg_.grid_nx, cfg_.grid_ny));
+  long long calls = 0;
+  for (std::size_t i = 0; i < 50; ++i) {
+    const Observation obs = net_.observe(i * 61 % net_.num_nodes());
+    BinomialLikelihood::Bound loglik = kernel.bind(obs);
+    const SearchResult found = pattern_search(
+        cfg_.field(), weighted_centroid_estimate(model_, obs), pitch, 0.5,
+        [&](Vec2 theta) {
+          ++calls;
+          return loglik(theta);
+        });
+    EXPECT_EQ(found.at, mle_.estimate(obs));
+    EXPECT_EQ(found.ll, mle_.log_likelihood(obs, found.at));
+  }
+  EXPECT_EQ(calls, 2634);
 }
 
 TEST_F(MleTest, EstimateBeatsCoarseBaselineOnAverage) {

@@ -309,6 +309,22 @@ INSTANTIATE_TEST_SUITE_P(PaperFigures, ScenarioGoldens,
                                          "fig09_dr_vs_density.scn",
                                          "tab_correction.scn"));
 
+// The remaining shipped specs, so every bench/scenarios/*.scn has a golden.
+// tab_deployment_shapes and tab_model_mismatch are the gates on the
+// likelihood at off-grid and mismatched deployment points.
+INSTANTIATE_TEST_SUITE_P(OtherSpecs, ScenarioGoldens,
+                         testing::Values("quickstart.scn",
+                                         "fig02_deployment_pdf.scn",
+                                         "tab_deployment_shapes.scn",
+                                         "tab_echo_comparison.scn",
+                                         "tab_group_thresholds.scn",
+                                         "tab_gz_accuracy.scn",
+                                         "tab_localizer_ablation.scn",
+                                         "tab_metric_fusion.scn",
+                                         "tab_mmse_vulnerability.scn",
+                                         "tab_model_mismatch.scn",
+                                         "tab_threshold_sensitivity.scn"));
+
 #endif  // LAD_SCENARIO_DIR
 
 }  // namespace
