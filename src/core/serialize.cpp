@@ -359,7 +359,9 @@ void DetectorBundle::validate() const {
   config.validate();
   LAD_REQUIRE_MSG(!deployment_points.empty(),
                   "bundle has no deployment points");
-  LAD_REQUIRE_MSG(gz_omega > 0, "gz omega must be positive");
+  LAD_REQUIRE_MSG(gz_omega >= kMinGzOmega, "gz omega must be >= "
+                                              << kMinGzOmega << ", got "
+                                              << gz_omega);
   LAD_REQUIRE_MSG(!detectors.empty(), "bundle has no detector section");
   const int num_groups = static_cast<int>(deployment_points.size());
   for (std::size_t i = 0; i < detectors.size(); ++i) {

@@ -4,6 +4,15 @@
 //
 // GzTable precomputes omega+1 points of gz_exact on [0, support_radius] and
 // interpolates linearly.  Past the support radius g is numerically zero.
+//
+// The sampled row is a pure function of (R, sigma, tol, omega), so it is
+// sampled once per process: the constructor copies it out of a
+// process-lifetime memo keyed by the exact bit patterns of those four
+// values (a LatchedCache, so concurrent constructors of one key sample it
+// once and different keys never wait on each other).  Entries are never
+// evicted; the memo holds one (omega+1)-double row per distinct key seen
+// by the process, ~2 KB at the defaults.  A build that throws is not
+// memoised.
 #pragma once
 
 #include <memory>
@@ -13,6 +22,10 @@
 #include "stats/interp.h"
 
 namespace lad {
+
+/// The coarsest table resolution anything accepts: GzTable, bundle
+/// validation and the scenario parser all check omega against it.
+inline constexpr int kMinGzOmega = 8;
 
 class GzTable {
  public:

@@ -11,6 +11,7 @@
 #include "attack/adversary.h"
 #include "core/metric.h"
 #include "deploy/deployment_model.h"
+#include "deploy/gz_table.h"
 #include "loc/amorphous.h"
 #include "loc/dvhop.h"
 #include "loc/truth_noise.h"
@@ -239,6 +240,10 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
     spec.pipeline.deploy.grid_nx = get_positive_int(*p, "grid_nx", 10);
     spec.pipeline.deploy.grid_ny = get_positive_int(*p, "grid_ny", 10);
     spec.pipeline.gz_omega = get_positive_int(*p, "gz_omega", 256);
+    LAD_REQUIRE_MSG(spec.pipeline.gz_omega >= kMinGzOmega,
+                    "[pipeline] gz_omega must be >= " << kMinGzOmega
+                                                      << ", got "
+                                                      << spec.pipeline.gz_omega);
     spec.pipeline.shape =
         deployment_shape_from_name(p->get_string("shape", "grid"));
     spec.pipeline.victims_in_field_only =
@@ -416,6 +421,11 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
   if (const KvConfig::Section* g = config.find_section("gz")) {
     spec.omegas = g->get_int_list("omegas", spec.omegas);
     LAD_REQUIRE_MSG(!spec.omegas.empty(), "sweep list 'omegas' is empty");
+    for (long long omega : spec.omegas) {
+      LAD_REQUIRE_MSG(omega >= kMinGzOmega, "[gz] omegas must be >= "
+                                                << kMinGzOmega << ", got "
+                                                << omega);
+    }
   }
   spec.lies = {0, 100, 200, 400, 800, 1600, 3200};
   spec.dvhop_lies = {0, 400, 1600};

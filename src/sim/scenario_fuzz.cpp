@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "deploy/gz_table.h"
 #include "rng/rng.h"
 #include "sim/scenario.h"
 #include "util/assert.h"
@@ -209,7 +210,7 @@ void emit_kind_section(ScnWriter& w, Rng& rng, const KindShape& kind) {
   if (kind.section == "pdf") {
     w.kv("grid", std::to_string(draw_int(rng, 2, 12)));
   } else if (kind.section == "gz") {
-    w.kv("omegas", int_values(rng, draw_int(rng, 1, 4), 8, 256));
+    w.kv("omegas", int_values(rng, draw_int(rng, 1, 4), kMinGzOmega, 256));
   } else if (kind.section == "correction") {
     w.kv("trials", std::to_string(draw_int(rng, 2, 40)));
   } else if (kind.section == "echo") {
@@ -291,7 +292,7 @@ std::string generate_valid_scn(Rng& rng) {
       w.kv("grid_ny", std::to_string(draw_int(rng, 2, 12)));
     }
     if (chance(rng, 0.3)) {
-      w.kv("gz_omega", std::to_string(draw_int(rng, 8, 512)));
+      w.kv("gz_omega", std::to_string(draw_int(rng, kMinGzOmega, 512)));
     }
     if (chance(rng, 0.4)) {
       w.kv("shape", pick(rng, std::vector<std::string>{

@@ -45,7 +45,6 @@
 #include "rng/rng.h"
 #include "sim/experiment.h"
 #include "sim/item_scheduler.h"
-#include "sim/latched_cache.h"
 #include "sim/pipeline.h"
 #include "stats/quantile.h"
 #include "stats/roc.h"
@@ -53,6 +52,7 @@
 #include "stats/special.h"
 #include "util/assert.h"
 #include "util/csv.h"
+#include "util/latched_cache.h"
 #include "util/string_util.h"
 
 namespace lad {

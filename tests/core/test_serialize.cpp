@@ -341,6 +341,36 @@ TEST(Serialize, RejectsInvalidConfigAfterParse) {
   EXPECT_THROW(load_bundle(bad), AssertionError);
 }
 
+TEST(Serialize, RejectsCoarseGzOmegaAtLoad) {
+  // A bundle must fail to load with the same omega bound GzTable enforces,
+  // not load and then fail inside RuntimeDetector.
+  const DeploymentModel model(cfg4());
+  EXPECT_THROW(make_bundle(model, kMinGzOmega - 1, MetricKind::kDiff, 1.0),
+               AssertionError);
+  std::string text = text_of(make_bundle(model, 64, MetricKind::kDiff, 1.0));
+  const auto pos = text.find("omega 64");
+  ASSERT_NE(pos, std::string::npos);
+  for (const char* omega : {"omega 7", "omega 1"}) {
+    std::string coarse = text;
+    coarse.replace(pos, 8, omega);
+    try {
+      parse(coarse);
+      ADD_FAILURE() << "loaded a bundle with " << omega;
+    } catch (const AssertionError& e) {
+      EXPECT_NE(std::string(e.what()).find("gz omega must be >= 8"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The v1 spelling goes through the same validation.
+  EXPECT_THROW(parse("lad-detector v1\nfield_side 400\ngrid_nx 4\n"
+                     "grid_ny 4\nnodes_per_group 30\nsigma 25\n"
+                     "radio_range 45\nclamp_to_field 0\ngz_omega 7\n"
+                     "metric diff\nthreshold 1\npoints 2\n1 2\n3 4\n"),
+               AssertionError);
+  EXPECT_NO_THROW(make_bundle(model, kMinGzOmega, MetricKind::kDiff, 1.0));
+}
+
 TEST(Serialize, RejectsUnknownDetectorKeyWithLineContext) {
   const DeploymentModel model(cfg4());
   std::string text = text_of(make_bundle(model, 64, MetricKind::kDiff, 1.0));

@@ -143,6 +143,32 @@ TEST(ScenarioSpec, EmptySweepListsAreRejected) {
                AssertionError);
 }
 
+TEST(ScenarioSpec, CoarseGzOmegaIsRejectedByName) {
+  // Both omega keys are checked against GzTable's bound at parse time,
+  // not when a table is first built.
+  const auto expect_rejected = [](const std::string& text,
+                                  const std::string& message) {
+    try {
+      ScenarioSpec::from_config(KvConfig::parse_string(text));
+      ADD_FAILURE() << "parsed: " << text;
+    } catch (const AssertionError& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected(
+      "[scenario]\nname = x\nexperiment = dr-sweep\n"
+      "[pipeline]\ngz_omega = 7\n",
+      "[pipeline] gz_omega must be >= 8, got 7");
+  expect_rejected(
+      "[scenario]\nname = g\nexperiment = gz-accuracy\n"
+      "[gz]\nomegas = 8, 4, 64\n",
+      "[gz] omegas must be >= 8, got 4");
+  EXPECT_NO_THROW(ScenarioSpec::from_config(KvConfig::parse_string(
+      "[scenario]\nname = g\nexperiment = gz-accuracy\n"
+      "[pipeline]\ngz_omega = 8\n[gz]\nomegas = 8\n")));
+}
+
 TEST(ScenarioSpec, RangeSyntaxRoundTripsThroughSweeps) {
   const ScenarioSpec spec = ScenarioSpec::from_config(KvConfig::parse_string(
       "[scenario]\nname = x\nexperiment = dr-sweep\n"
