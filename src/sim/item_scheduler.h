@@ -1,5 +1,5 @@
-// The scenario engine's work-item executor: each kind's run_* builder
-// schedules one closure per shard-owned work item; run() executes up to
+// The scenario engine's work-item executor: ScenarioRunner::run schedules
+// one closure per shard-owned work item; run() executes up to
 // `jobs` of them concurrently, then splices each item's buffered rows into
 // the shared result tables in schedule order — so every table CSV is
 // byte-identical to the sequential run no matter how items interleave.

@@ -1,6 +1,8 @@
 // ScenarioSpec parsing/validation, overrides, shard syntax, the localizer
-// registry, and tagged-CSV persistence.  The work-item expansion and
-// execution live in scenario_runner.cpp.
+// registry, and tagged-CSV persistence.  Which sections, [sweep] axes and
+// optional keys a kind accepts comes from the kind table
+// (sim/scenario_kinds.h); the work-item expansion and execution live in
+// scenario_runner.cpp.
 #include "sim/scenario.h"
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 #include "loc/truth_noise.h"
 #include "loc/weighted_centroid.h"
 #include "sim/pipeline.h"
+#include "sim/scenario_kinds.h"
 #include "util/assert.h"
 #include "util/csv.h"
 #include "util/flags.h"
@@ -27,29 +30,15 @@ namespace lad {
 
 namespace {
 
+using detail::experiment_kinds;
+using detail::KindDecl;
+
 constexpr std::uint64_t kDefaultScenarioSeed = 20050404;  // IPDPS 2005 opened
 
 const std::vector<std::string>& common_sections() {
   static const std::vector<std::string> sections = {
       "scenario", "pipeline", "quick", "sweep", "detector", "run", "output"};
   return sections;
-}
-
-/// The kind-specific section each experiment kind may carry (nullptr =
-/// none).  Sections belonging to a different kind are rejected so dead
-/// configuration cannot hide in a spec.
-const char* kind_section(ExperimentKind kind) {
-  switch (kind) {
-    case ExperimentKind::kDeploymentPdf: return "pdf";
-    case ExperimentKind::kGzAccuracy: return "gz";
-    case ExperimentKind::kCorrection: return "correction";
-    case ExperimentKind::kEchoComparison: return "echo";
-    case ExperimentKind::kMmseVulnerability: return "mmse";
-    case ExperimentKind::kThresholdSensitivity: return "threshold";
-    case ExperimentKind::kTimeEvolving: return "evolve";
-    case ExperimentKind::kInNetwork: return "coop";
-    default: return nullptr;
-  }
 }
 
 int get_positive_int(const KvConfig::Section& s, const std::string& key,
@@ -85,48 +74,13 @@ void require_non_empty(const std::vector<double>& v, const char* what) {
   LAD_REQUIRE_MSG(!v.empty(), "sweep list '" << what << "' is empty");
 }
 
-}  // namespace
-
-const char* experiment_kind_name(ExperimentKind kind) {
-  switch (kind) {
-    case ExperimentKind::kRoc: return "roc";
-    case ExperimentKind::kDrSweep: return "dr-sweep";
-    case ExperimentKind::kDensitySweep: return "density-sweep";
-    case ExperimentKind::kDeploymentPdf: return "deployment-pdf";
-    case ExperimentKind::kGzAccuracy: return "gz-accuracy";
-    case ExperimentKind::kCorrection: return "correction";
-    case ExperimentKind::kEchoComparison: return "echo-comparison";
-    case ExperimentKind::kMetricFusion: return "metric-fusion";
-    case ExperimentKind::kMmseVulnerability: return "mmse-vulnerability";
-    case ExperimentKind::kThresholdSensitivity: return "threshold-sensitivity";
-    case ExperimentKind::kTimeEvolving: return "time-evolving";
-    case ExperimentKind::kInNetwork: return "in-network";
-  }
-  return "?";
-}
-
-ExperimentKind experiment_kind_from_name(const std::string& name) {
+const KindDecl& kind_from_name(const std::string& name) {
   const std::string n = to_lower(name);
-  for (ExperimentKind kind :
-       {ExperimentKind::kRoc, ExperimentKind::kDrSweep,
-        ExperimentKind::kDensitySweep, ExperimentKind::kDeploymentPdf,
-        ExperimentKind::kGzAccuracy, ExperimentKind::kCorrection,
-        ExperimentKind::kEchoComparison, ExperimentKind::kMetricFusion,
-        ExperimentKind::kMmseVulnerability,
-        ExperimentKind::kThresholdSensitivity, ExperimentKind::kTimeEvolving,
-        ExperimentKind::kInNetwork}) {
-    if (n == experiment_kind_name(kind)) return kind;
+  for (const KindDecl& kind : experiment_kinds()) {
+    if (n == kind.name) return kind;
   }
   LAD_REQUIRE_MSG(false, "unknown experiment kind: '" << name << "'");
-  return ExperimentKind::kDrSweep;  // unreachable
-}
-
-const char* group_threshold_mode_name(GroupThresholdMode mode) {
-  switch (mode) {
-    case GroupThresholdMode::kGlobal: return "global";
-    case GroupThresholdMode::kPerGroup: return "per_group";
-  }
-  return "?";
+  return experiment_kinds().front();  // unreachable
 }
 
 GroupThresholdMode group_threshold_mode_from_name(const std::string& name) {
@@ -136,6 +90,20 @@ GroupThresholdMode group_threshold_mode_from_name(const std::string& name) {
   LAD_REQUIRE_MSG(false, "unknown group-threshold mode '"
                              << name << "' (known: global, per_group)");
   return GroupThresholdMode::kGlobal;  // unreachable
+}
+
+}  // namespace
+
+const char* experiment_kind_name(ExperimentKind kind) {
+  return detail::kind_decl(kind).name;
+}
+
+const char* group_threshold_mode_name(GroupThresholdMode mode) {
+  switch (mode) {
+    case GroupThresholdMode::kGlobal: return "global";
+    case GroupThresholdMode::kPerGroup: return "per_group";
+  }
+  return "?";
 }
 
 bool is_known_localizer(const std::string& name) {
@@ -199,32 +167,48 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
   const std::string kind_name = sc.get_string("experiment", "");
   LAD_REQUIRE_MSG(!kind_name.empty(),
                   config.origin() << ": [scenario] experiment is required");
-  spec.kind = experiment_kind_from_name(kind_name);
+  const KindDecl& kind = kind_from_name(kind_name);
+  spec.kind = kind.kind;
 
   // Section allowlist is kind-aware: a [gz] section in a dr-sweep spec is
   // dead configuration and almost certainly a mistake.
-  const char* own_section = kind_section(spec.kind);
   for (const KvConfig::Section& s : config.sections()) {
     const auto& common = common_sections();
-    if (std::find(common.begin(), common.end(), s.name()) != common.end()) {
+    if (std::find(common.begin(), common.end(), s.name()) != common.end() ||
+        s.name() == kind.section) {
       continue;
     }
-    if (own_section != nullptr && s.name() == own_section) continue;
-    for (ExperimentKind k :
-         {ExperimentKind::kDeploymentPdf, ExperimentKind::kGzAccuracy,
-          ExperimentKind::kCorrection, ExperimentKind::kEchoComparison,
-          ExperimentKind::kMmseVulnerability,
-          ExperimentKind::kThresholdSensitivity,
-          ExperimentKind::kTimeEvolving, ExperimentKind::kInNetwork}) {
-      LAD_REQUIRE_MSG(s.name() != kind_section(k),
+    for (const KindDecl& other : experiment_kinds()) {
+      LAD_REQUIRE_MSG(s.name() != other.section,
                       config.origin()
                           << ": section [" << s.name()
-                          << "] is only valid for experiment = "
-                          << experiment_kind_name(k) << " (this is "
-                          << experiment_kind_name(spec.kind) << ")");
+                          << "] is only valid for experiment = " << other.name
+                          << " (this is " << kind.name << ")");
     }
     LAD_REQUIRE_MSG(false, config.origin() << ": unknown section ["
                                            << s.name() << "]");
+  }
+
+  // The same for keys only some kinds read ("[quick] dvhop_trials" on a
+  // gz-accuracy spec): each is rejected by name on every other kind.
+  for (const KindDecl& reader : experiment_kinds()) {
+    for (const std::string& key : reader.reads) {
+      const std::size_t close = key.find("] ");
+      const KvConfig::Section* section =
+          config.find_section(key.substr(1, close - 1));
+      if (section == nullptr || !section->has(key.substr(close + 2)) ||
+          kind.reads_key(key)) {
+        continue;
+      }
+      std::vector<std::string> readers;
+      for (const KindDecl& k : experiment_kinds()) {
+        if (k.reads_key(key)) readers.push_back(k.name);
+      }
+      LAD_REQUIRE_MSG(false, config.origin()
+                                 << ": " << key << " is only read by "
+                                 << join(readers, ", ") << " (this is "
+                                 << kind.name << ")");
+    }
   }
 
   spec.pipeline.seed = kDefaultScenarioSeed;
@@ -308,11 +292,6 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
                                  << coupling << "'");
     }
     if (s->has("group_thresholds")) {
-      // Only dr-sweep consumes this axis; anywhere else even a single
-      // value would be dead configuration (fail-fast contract).
-      LAD_REQUIRE_MSG(spec.kind == ExperimentKind::kDrSweep,
-                      "[sweep] group_thresholds is only swept by dr-sweep "
-                      "(this is " << experiment_kind_name(spec.kind) << ")");
       spec.group_threshold_modes.clear();
       for (const std::string& n : s->get_string_list("group_thresholds", {})) {
         spec.group_threshold_modes.push_back(
@@ -322,70 +301,29 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
                       "sweep list 'group_thresholds' is empty");
     }
   }
-  if (spec.kind == ExperimentKind::kDensitySweep) {
-    LAD_REQUIRE_MSG(!spec.densities.empty(),
-                    "density-sweep needs a non-empty [sweep] densities list");
-  } else {
-    LAD_REQUIRE_MSG(spec.densities.empty(),
-                    "[sweep] densities is only swept by density-sweep (this "
-                    "is " << experiment_kind_name(spec.kind) << ")");
-  }
-
   // Reject multi-valued axes the kind does not expand: the runner would
   // silently use only the first value, which breaks the fail-fast contract.
-  {
-    const ExperimentKind k = spec.kind;
-    const auto require_single = [&](std::size_t n, const char* axis) {
-      LAD_REQUIRE_MSG(n <= 1, "experiment '"
-                                  << experiment_kind_name(k)
-                                  << "' does not sweep [sweep] " << axis
-                                  << " (got " << n
-                                  << " values; only the first would run)");
-    };
-    const bool dr = k == ExperimentKind::kDrSweep;
-    const bool grid_kind = dr || k == ExperimentKind::kRoc ||
-                           k == ExperimentKind::kDensitySweep;
-    if (!dr) {
-      require_single(spec.shapes.size(), "shapes");
-      require_single(spec.localizers.size(), "localizers");
-      require_single(spec.actual_sigmas.size(), "actual_sigmas");
-      require_single(spec.jitters.size(), "jitters");
-    }
-    if (!grid_kind && k != ExperimentKind::kMetricFusion) {
-      require_single(spec.metrics.size(), "metrics");
-    }
-    if (!grid_kind && k != ExperimentKind::kCorrection &&
-        k != ExperimentKind::kTimeEvolving) {
-      require_single(spec.attacks.size(), "attacks");
-    }
-    if (!grid_kind && k != ExperimentKind::kCorrection &&
-        k != ExperimentKind::kEchoComparison &&
-        k != ExperimentKind::kThresholdSensitivity &&
-        k != ExperimentKind::kTimeEvolving &&
-        k != ExperimentKind::kInNetwork) {
-      require_single(spec.damages.size(), "damages");
-    }
-    if (!grid_kind) require_single(spec.compromised.size(), "compromised");
+  for (const auto& [axis, n] : std::vector<std::pair<const char*, std::size_t>>{
+           {"shapes", spec.shapes.size()},
+           {"localizers", spec.localizers.size()},
+           {"actual_sigmas", spec.actual_sigmas.size()},
+           {"jitters", spec.jitters.size()},
+           {"metrics", spec.metrics.size()},
+           {"attacks", spec.attacks.size()},
+           {"damages", spec.damages.size()},
+           {"compromised", spec.compromised.size()}}) {
+    LAD_REQUIRE_MSG(n <= 1 || kind.expands(axis),
+                    "experiment '" << kind.name << "' does not sweep [sweep] "
+                                   << axis << " (got " << n
+                                   << " values; only the first would run)");
   }
 
   if (const KvConfig::Section* d = config.find_section("detector")) {
     spec.fp_budget = d->get_double("fp_budget", spec.fp_budget);
     spec.tau = d->get_double("tau", spec.tau);
-    if (d->has("group_min_samples")) {
-      LAD_REQUIRE_MSG(spec.kind == ExperimentKind::kDrSweep,
-                      "[detector] group_min_samples is only consumed by "
-                      "dr-sweep (this is "
-                          << experiment_kind_name(spec.kind) << ")");
-      spec.group_min_samples = get_positive_int(*d, "group_min_samples",
-                                                spec.group_min_samples);
-    }
+    spec.group_min_samples =
+        get_positive_int(*d, "group_min_samples", spec.group_min_samples);
     spec.bundle = d->get_string("bundle", "");
-    // Only metric-fusion consumes a saved bundle today; anywhere else the
-    // key would be dead configuration (fail-fast contract).
-    LAD_REQUIRE_MSG(spec.bundle.empty() ||
-                        spec.kind == ExperimentKind::kMetricFusion,
-                    "[detector] bundle is only consumed by metric-fusion "
-                    "(this is " << experiment_kind_name(spec.kind) << ")");
   }
   LAD_REQUIRE_MSG(spec.fp_budget > 0 && spec.fp_budget < 1,
                   "[detector] fp_budget must be in (0,1)");
@@ -414,8 +352,8 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
     spec.echo_grid_x = get_positive_int(*e, "grid_x", spec.echo_grid_x);
     spec.echo_grid_y = get_positive_int(*e, "grid_y", spec.echo_grid_y);
     spec.echo_range = e->get_double("range", spec.echo_range);
-    spec.echo_train_samples =
-        get_positive_int(*e, "train_samples", spec.echo_train_samples);
+    spec.train_samples =
+        get_positive_int(*e, "train_samples", spec.train_samples);
   }
   spec.omegas = {8, 16, 32, 64, 128, 256, 512, 1024, 4096};
   if (const KvConfig::Section* g = config.find_section("gz")) {
@@ -441,8 +379,6 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
   if (const KvConfig::Section* t = config.find_section("threshold")) {
     spec.taus = t->get_double_list("taus", spec.taus);
     spec.fudges = t->get_double_list("fudges", spec.fudges);
-    LAD_REQUIRE_MSG(!spec.taus.empty() || !spec.fudges.empty(),
-                    "threshold-sensitivity needs taus and/or fudges");
     for (double tau : spec.taus) {
       LAD_REQUIRE_MSG(tau > 0 && tau < 1, "[threshold] taus must be in (0,1)");
     }
@@ -459,8 +395,8 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
     LAD_REQUIRE_MSG(initial >= 0,
                     "[evolve] initial must be >= 0, got " << initial);
     spec.evolve_initial = static_cast<int>(initial);
-    spec.evolve_train_samples =
-        get_positive_int(*e, "train_samples", spec.evolve_train_samples);
+    spec.train_samples =
+        get_positive_int(*e, "train_samples", spec.train_samples);
   }
   if (const KvConfig::Section* c = config.find_section("coop")) {
     spec.trials = get_positive_int(*c, "trials", spec.trials);
@@ -471,13 +407,18 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
     LAD_REQUIRE_MSG(spec.coop_majority > 0 && spec.coop_majority <= 1,
                     "[coop] majority must be in (0,1], got "
                         << spec.coop_majority);
-    spec.coop_train_samples =
-        get_positive_int(*c, "train_samples", spec.coop_train_samples);
+    spec.train_samples =
+        get_positive_int(*c, "train_samples", spec.train_samples);
   }
 
   const std::vector<std::string> unknown = config.unused();
   LAD_REQUIRE_MSG(unknown.empty(), config.origin() << ": unknown key(s): "
                                                    << join(unknown, ", "));
+  LAD_REQUIRE_MSG(detail::count_items(spec) > 0,
+                  config.origin() << ": experiment '" << kind.name
+                                  << "' expands to no work items (an axis it "
+                                     "sweeps is empty: "
+                                  << join(kind.axes, ", ") << ")");
   return spec;
 }
 

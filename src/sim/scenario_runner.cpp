@@ -1,23 +1,25 @@
-// ScenarioRunner: expands a ScenarioSpec's cartesian product into an
-// ordered work-item list and executes it (or one shard of it) through the
-// existing Pipeline / experiment entry points.
+// ScenarioRunner and the experiment-kind table (sim/scenario_kinds.h).
 //
-// Work-item ids are assigned by iterating the expansion in a fixed order,
-// so ids are identical in every shard of the same spec.  All randomness is
-// keyed from the spec's seed (Philox-style sub-streams inside Pipeline;
-// explicit per-item seeds in the bespoke kinds), never from execution
-// order, which is what makes shard output placement-independent.
+// The runner is generic.  A spec's kind entry gives its result tables and
+// its item layout; run() decodes every id the shard owns into a WorkItem
+// (mixed radix, last-listed axis fastest) and schedules the entry's
+// run_item on it.  Ids are a pure function of the spec, so they are the
+// same in every shard.  All randomness is keyed from the spec's seed
+// (Philox-style sub-streams inside Pipeline; explicit per-item streams in
+// the bespoke kinds), never from execution order, which is what makes
+// shard output placement-independent.
 //
-// Pipelines / benign passes / deployed networks are cached per runner and
-// shared across the items that need them; because they are deterministic
-// functions of (spec, seed), caching changes wall time only, never values.
-#include "sim/scenario.h"
+// What items share - pipelines, benign passes, the bespoke kinds' deployed
+// network, g(z) table and solo detector - lives in KindState's latched
+// caches: built by the first item that needs it and kept across run()
+// calls.  Each is a deterministic function of (spec, key), so caching
+// changes wall time only, never values.
+#include "sim/scenario_kinds.h"
 
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -37,6 +39,7 @@
 #include "deploy/gz_table.h"
 #include "deploy/network.h"
 #include "deploy/observation.h"
+#include "geom/aabb.h"
 #include "geom/vec2.h"
 #include "loc/beaconless_mle.h"
 #include "loc/dvhop.h"
@@ -56,6 +59,7 @@
 #include "util/string_util.h"
 
 namespace lad {
+namespace detail {
 
 namespace {
 
@@ -96,88 +100,76 @@ std::string percent_label(double fp) {
   return "DR@" + os.str() + "%";
 }
 
-std::string dr_at_damage_label(double d) {
-  return "DR@D=" + format_double(d, 0);
+/// The greedy taint of `a` toward `mu` with a budget of `x` of its beacons.
+Observation tainted(const Observation& a, const ExpectedObservation& mu,
+                    int m, MetricKind metric, AttackClass cls, double x) {
+  return greedy_taint(a, mu, m, metric, cls, static_cast<int>(x * a.total()))
+      .tainted;
 }
 
-/// Total work items in a spec's full expansion.  Shared by num_items()
-/// and the per-kind empty-shard early-outs (a modulo shard owns at least
-/// one item exactly when its index is below this total).
-long long total_items(const ScenarioSpec& s) {
-  const long long metrics = static_cast<long long>(s.metrics.size());
-  const long long attacks = static_cast<long long>(s.attacks.size());
-  const long long damages = static_cast<long long>(s.damages.size());
-  const long long xs = static_cast<long long>(s.compromised.size());
-  switch (s.kind) {
-    case ExperimentKind::kRoc:
-      return metrics * attacks * damages * xs;
-    case ExperimentKind::kDrSweep:
-      return static_cast<long long>(s.group_threshold_modes.size()) *
-             static_cast<long long>(mismatch_pairs(s).size()) *
-             static_cast<long long>(s.shapes.size()) *
-             static_cast<long long>(s.localizers.size()) * metrics * attacks *
-             xs * damages;
-    case ExperimentKind::kDensitySweep:
-      return static_cast<long long>(s.densities.size()) * metrics * attacks *
-             xs * damages;
-    case ExperimentKind::kDeploymentPdf:
-      return 2;
-    case ExperimentKind::kGzAccuracy:
-      return static_cast<long long>(s.omegas.size());
-    case ExperimentKind::kCorrection:
-      return 1 + attacks * damages;
-    case ExperimentKind::kEchoComparison:
-      return 1 + damages;
-    case ExperimentKind::kMetricFusion:
-      return 1 + metrics;
-    case ExperimentKind::kMmseVulnerability:
-      return static_cast<long long>(s.lies.size()) +
-             static_cast<long long>(s.dvhop_lies.size());
-    case ExperimentKind::kThresholdSensitivity:
-      return static_cast<long long>(s.taus.size()) +
-             static_cast<long long>(s.fudges.size());
-    case ExperimentKind::kTimeEvolving:
-      return 1 + attacks * damages;
-    case ExperimentKind::kInNetwork:
-      return 1 + damages;
+/// `trials` victims drawn inside the field, each with the location it
+/// claims (its true position displaced by `d`, or the truth when d < 0),
+/// then observed in one batch.  Victim and claim draws interleave per
+/// trial, the historical rng call order.
+struct TrialBatch {
+  std::vector<std::size_t> nodes;
+  std::vector<Vec2> claims;
+  ObservationBatch obs;
+};
+
+TrialBatch draw_trials(const Network& net, const Aabb& field, Rng& rng,
+                       int trials, double d) {
+  TrialBatch b;
+  b.nodes.resize(static_cast<std::size_t>(trials));
+  b.claims.resize(b.nodes.size());
+  for (std::size_t t = 0; t < b.nodes.size(); ++t) {
+    std::size_t node;
+    do {
+      node = static_cast<std::size_t>(rng.uniform_int(net.num_nodes()));
+    } while (!field.contains(net.position(node)));
+    b.nodes[t] = node;
+    b.claims[t] = d < 0 ? net.position(node)
+                        : displaced_location(net.position(node), d, field, rng);
   }
-  return 0;
+  net.observe_many(b.nodes, b.obs);
+  return b;
 }
 
-/// True when `shard` owns no item at all - the caller returns its
-/// header-only tables without building any shared state.
-bool shard_is_empty(const ShardRange& shard, const ScenarioSpec& s) {
-  return static_cast<long long>(shard.index) >= total_items(s);
-}
-
-/// The result-table ids each kind emits, in emission order.  Must stay in
-/// sync with the run_* builders below (guarded by a unit test that runs a
-/// spec of each kind and compares).
-std::vector<std::string> table_ids_for(const ScenarioSpec& s) {
-  switch (s.kind) {
-    case ExperimentKind::kRoc:
-      if (s.curve_points > 0) return {"summary", "curves"};
-      return {"summary"};
-    case ExperimentKind::kDrSweep: return {"dr"};
-    case ExperimentKind::kDensitySweep: return {"density"};
-    case ExperimentKind::kDeploymentPdf: return {"surface", "radial"};
-    case ExperimentKind::kGzAccuracy: return {"gz"};
-    case ExperimentKind::kCorrection: return {"benign_floor", "correction"};
-    case ExperimentKind::kEchoComparison: return {"meta", "echo"};
-    case ExperimentKind::kMetricFusion: return {"benign", "fusion"};
-    case ExperimentKind::kMmseVulnerability: return {"mmse", "dvhop"};
-    case ExperimentKind::kThresholdSensitivity: return {"tau", "fudge"};
-    case ExperimentKind::kTimeEvolving: return {"meta", "evolve"};
-    case ExperimentKind::kInNetwork: return {"fp", "coop"};
+/// Fraction of `scores` above its victim-group threshold, restricted to
+/// samples whose group passes `keep` (empty selection -> 0).
+template <class Keep>
+double rate_where(const std::vector<double>& scores,
+                  const std::vector<int>& groups,
+                  const std::vector<double>& thresholds, const Keep& keep) {
+  std::size_t n = 0, above = 0;
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    const int g = groups[i];
+    if (!keep(g)) continue;
+    ++n;
+    if (scores[i] > thresholds[static_cast<std::size_t>(g)]) ++above;
   }
-  LAD_REQUIRE_MSG(false, "invalid experiment kind");
-  return {};  // unreachable
+  return n == 0 ? 0.0 : static_cast<double>(above) / static_cast<double>(n);
 }
+
+/// A network deployed from a root Rng, with that rng's state right after
+/// the network consumed its head: the benign floor and the solo
+/// detector's training continue from it.
+struct Deployed {
+  Deployed(const DeploymentConfig& cfg, Rng root)
+      : model(cfg), rng(root), net(model, rng) {}
+  DeploymentModel model;
+  Rng rng;
+  Network net;
+};
 
 }  // namespace
 
-struct ScenarioRunner::Impl {
-  ScenarioSpec spec;
+/// What the kinds' run_item bodies share within one runner: the spec and
+/// every piece of state built lazily from it.  Latched caches: concurrent
+/// work items (jobs > 1) wanting the same key build it exactly once, and
+/// the sequential run fills them in the historical order.
+struct KindState {
+  explicit KindState(const ScenarioSpec& s) : spec(s) {}
 
   /// One shared benign pass: per-metric scores plus each sample's victim
   /// group (the per-group threshold modes bucket by it).
@@ -186,10 +178,7 @@ struct ScenarioRunner::Impl {
     std::vector<int> victim_groups;
   };
 
-  // --- shared deterministic state (lazy; values never depend on which
-  //     items run, only the spec).  Latched caches: concurrent work items
-  //     (jobs > 1) wanting the same key build it exactly once, and the
-  //     sequential run fills them in the exact historical order.
+  ScenarioSpec spec;
   LatchedCache<Pipeline> pipelines;
   // (pipeline key | localizer) -> the shared benign pass
   LatchedCache<BenignPass> benign;
@@ -199,8 +188,11 @@ struct ScenarioRunner::Impl {
   // dr-sweep per_group mode: per-(pipeline|localizer|metric) boundary-group
   // fits - invariant across the attack/x/damage axes, so trained once.
   LatchedCache<std::vector<GroupTrainingResult>> group_fits;
-
-  explicit Impl(const ScenarioSpec& s) : spec(s) {}
+  // The bespoke kinds: the network deployed from a root seed, the g(z)
+  // table at the spec's (R, sigma), and the solo LAD detector.
+  LatchedCache<Deployed> deployed;
+  LatchedCache<GzTable> gz_table;
+  LatchedCache<Detector> solo;
 
   PipelineConfig group_config(DeploymentShape shape, double actual_sigma,
                               double jitter) const {
@@ -222,6 +214,13 @@ struct ScenarioRunner::Impl {
   Pipeline& pipeline_for(const PipelineConfig& cfg) {
     return pipelines.get(config_key(cfg),
                          [&] { return std::make_unique<Pipeline>(cfg); });
+  }
+
+  /// The pipeline at the first value of every deployment axis.
+  Pipeline& base_pipeline() {
+    return pipeline_for(group_config(spec.shapes.front(),
+                                     spec.actual_sigmas.front(),
+                                     spec.jitters.front()));
   }
 
   /// Benign scores for every spec metric under one (pipeline, localizer);
@@ -281,19 +280,893 @@ struct ScenarioRunner::Impl {
     });
   }
 
-  // --- per-kind execution ----------------------------------------------
-  ScenarioResult run_roc(const ShardRange& shard);
-  ScenarioResult run_dr(const ShardRange& shard);
-  ScenarioResult run_density(const ShardRange& shard);
-  ScenarioResult run_pdf(const ShardRange& shard);
-  ScenarioResult run_gz(const ShardRange& shard);
-  ScenarioResult run_correction(const ShardRange& shard);
-  ScenarioResult run_echo(const ShardRange& shard);
-  ScenarioResult run_fusion(const ShardRange& shard);
-  ScenarioResult run_mmse(const ShardRange& shard);
-  ScenarioResult run_threshold(const ShardRange& shard);
-  ScenarioResult run_evolve(const ShardRange& shard);
-  ScenarioResult run_coop(const ShardRange& shard);
+  /// The network deployed from Rng(seed) over the spec's deployment.
+  const Deployed& deployed_for(std::uint64_t seed) {
+    return deployed.get(std::to_string(seed), [&] {
+      // lad-lint: allow(rng-construct) -- historical root stream of the
+      // bespoke kinds' networks; re-keying would change every golden CSV.
+      return std::make_unique<Deployed>(spec.pipeline.deploy, Rng(seed));
+    });
+  }
+
+  /// Work item `id`'s trial batch (see draw_trials) on the network
+  /// deployed from the spec's seed.  Its stream is keyed by the item id,
+  /// not by the (possibly fractional) damage value, so distinct cells never
+  /// share a stream with each other or with the solo detector's training.
+  TrialBatch item_trials(long long id, double d) {
+    Rng rng = Rng::stream(spec.pipeline.seed, static_cast<std::uint64_t>(id));
+    return draw_trials(deployed_for(spec.pipeline.seed).net,
+                       spec.pipeline.deploy.field(), rng, spec.trials, d);
+  }
+
+  const GzTable& gz() {
+    return gz_table.get("gz", [&] {
+      return std::make_unique<GzTable>(GzParams{
+          spec.pipeline.deploy.radio_range, spec.pipeline.deploy.sigma});
+    });
+  }
+
+  /// The solo LAD detector of echo, evolve and coop: the first metric's
+  /// threshold trained at tau on `train_samples` benign nodes, drawn by
+  /// continuing the rng of the network deployed from the spec's seed.
+  const Detector& solo_detector() {
+    return solo.get("solo", [&] {
+      const Deployed& dep = deployed_for(spec.pipeline.seed);
+      const MetricKind metric = spec.metrics.front();
+      const BeaconlessMleLocalizer localizer(dep.model, gz());
+      const std::unique_ptr<Metric> scorer = make_metric(metric);
+      Rng rng = dep.rng;
+      std::vector<std::size_t> nodes(
+          static_cast<std::size_t>(spec.train_samples));
+      for (std::size_t& node : nodes) {
+        node = static_cast<std::size_t>(rng.uniform_int(dep.net.num_nodes()));
+      }
+      ObservationBatch batch;
+      dep.net.observe_many(nodes, batch);
+      std::vector<double> scores;
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        const Observation obs = batch.to_observation(i);
+        scores.push_back(scorer->score(
+            obs, dep.model.expected_observation(localizer.estimate(obs), gz()),
+            spec.pipeline.deploy.nodes_per_group));
+      }
+      return std::make_unique<Detector>(
+          dep.model, gz(), metric,
+          train_threshold(metric, scores, spec.tau).threshold);
+    });
+  }
+};
+
+namespace {
+
+// --- roc: ROC curves over metric x attack x damage x x (Figs. 4-6) -----
+
+std::vector<std::string> roc_dims(const ScenarioSpec& s) {
+  std::vector<std::string> dims;
+  if (s.metrics.size() > 1) dims.push_back("metric");
+  if (s.attacks.size() > 1) dims.push_back("attack");
+  dims.push_back("D");
+  if (s.compromised.size() > 1) dims.push_back("x");
+  return dims;
+}
+
+std::vector<TableDecl> roc_tables(const ScenarioSpec& s) {
+  std::vector<std::string> summary = roc_dims(s);
+  summary.push_back("AUC");
+  for (double fp : s.fp_grid) summary.push_back(percent_label(fp));
+  std::vector<TableDecl> tables = {{"summary", summary}};
+  if (s.curve_points > 0) {
+    std::vector<std::string> curves = roc_dims(s);
+    curves.push_back("FP");
+    curves.push_back("DR");
+    tables.push_back({"curves", curves});
+  }
+  return tables;
+}
+
+void run_roc(KindState& st, const WorkItem& item, ItemSink& sink) {
+  const ScenarioSpec& spec = st.spec;
+  const MetricKind metric = spec.metrics[item.at[0]];
+  const AttackClass cls = spec.attacks[item.at[1]];
+  const double d = spec.damages[item.at[2]];
+  const double x = spec.compromised[item.at[3]];
+  Pipeline& pipeline = st.base_pipeline();
+  const std::vector<double>& benign_scores =
+      st.benign_for(pipeline, spec.localizers.front()).scores.at(metric);
+  const RocCurve curve(benign_scores,
+                       pipeline.attack_scores(AttackSpec{metric, cls, d, x}));
+
+  auto add_dims = [&](Table& t) -> Table& {
+    if (spec.metrics.size() > 1) t.add(metric_name(metric));
+    if (spec.attacks.size() > 1) t.add(attack_class_name(cls));
+    t.add(d, 0);
+    if (spec.compromised.size() > 1) t.add(x, 2);
+    return t;
+  };
+  Table& row = add_dims(sink.row(0));
+  row.add(curve.auc(), 4);
+  for (double fp : spec.fp_grid) row.add(curve.detection_rate_at_fp(fp), 4);
+  if (spec.curve_points > 0) {
+    const auto& pts = curve.points();
+    const std::size_t stride = std::max<std::size_t>(
+        1, pts.size() / static_cast<std::size_t>(spec.curve_points));
+    for (std::size_t i = 0; i < pts.size(); i += stride) {
+      add_dims(sink.row(1))
+          .add(pts[i].false_positive_rate, 5)
+          .add(pts[i].detection_rate, 5);
+    }
+  }
+}
+
+// --- dr-sweep: trained-threshold detection rates (Figs. 7/8) -----------
+
+// The boundary/interior split columns appear whenever the per_group mode
+// is in play - the whole point of the sweep is comparing the edge against
+// the (byte-identical) interior.
+bool splits_groups(const ScenarioSpec& s) {
+  return std::find(s.group_threshold_modes.begin(),
+                   s.group_threshold_modes.end(),
+                   GroupThresholdMode::kPerGroup) !=
+         s.group_threshold_modes.end();
+}
+
+std::vector<TableDecl> dr_tables(const ScenarioSpec& s) {
+  std::vector<std::string> cols;
+  if (s.group_threshold_modes.size() > 1) cols.push_back("group_mode");
+  if (s.actual_sigmas.size() > 1) cols.push_back("actual_sigma");
+  if (s.jitters.size() > 1) cols.push_back("jitter");
+  if (s.shapes.size() > 1) cols.push_back("shape");
+  if (s.localizers.size() > 1) cols.push_back("localizer");
+  if (s.metrics.size() > 1) cols.push_back("metric");
+  if (s.attacks.size() > 1) cols.push_back("attack");
+  cols.insert(cols.end(), {"x", "D", "DR", "trained_FP", "threshold"});
+  if (splits_groups(s)) {
+    cols.insert(cols.end(),
+                {"DR_interior", "DR_boundary", "FP_interior", "FP_boundary"});
+  }
+  if (s.loc_error) cols.push_back("loc_error");
+  return {{"dr", cols}};
+}
+
+void run_dr(KindState& st, const WorkItem& item, ItemSink& sink) {
+  const ScenarioSpec& spec = st.spec;
+  const GroupThresholdMode mode = spec.group_threshold_modes[item.at[0]];
+  const auto [actual_sigma, jitter] = mismatch_pairs(spec)[item.at[1]];
+  const DeploymentShape shape = spec.shapes[item.at[2]];
+  const std::string& localizer = spec.localizers[item.at[3]];
+  const MetricKind metric = spec.metrics[item.at[4]];
+  const AttackClass cls = spec.attacks[item.at[5]];
+  const double x = spec.compromised[item.at[6]];
+  const double d = spec.damages[item.at[7]];
+  const bool split_groups = splits_groups(spec);
+
+  Pipeline& pipeline =
+      st.pipeline_for(st.group_config(shape, actual_sigma, jitter));
+  const KindState::BenignPass& benign_pass = st.benign_for(pipeline, localizer);
+  const std::vector<double>& benign_scores = benign_pass.scores.at(metric);
+  const ThresholdFit fit = fit_threshold(metric, benign_scores, spec.fp_budget);
+  std::vector<int> attack_groups;
+  const std::vector<double> scores =
+      pipeline.attack_scores(AttackSpec{metric, cls, d, x},
+                             split_groups ? &attack_groups : nullptr);
+
+  // Per-group threshold vector: the pooled fit everywhere, boundary groups
+  // re-fitted on their own benign buckets in per_group mode (interior
+  // groups always keep the pooled value, which is what keeps their
+  // verdicts byte-identical across modes).
+  const std::size_t num_groups =
+      static_cast<std::size_t>(pipeline.model().num_groups());
+  std::vector<double> thresholds(num_groups, fit.threshold());
+  std::vector<char> is_boundary(num_groups, 0);
+  if (split_groups) {
+    for (const GroupTrainingResult& r :
+         st.group_fit_for(pipeline, localizer, metric, fit.threshold())) {
+      is_boundary[static_cast<std::size_t>(r.group)] = 1;
+      if (mode == GroupThresholdMode::kPerGroup) {
+        thresholds[static_cast<std::size_t>(r.group)] = r.training.threshold;
+      }
+    }
+  }
+
+  Table& row = sink.row(0);
+  if (spec.group_threshold_modes.size() > 1) {
+    row.add(group_threshold_mode_name(mode));
+  }
+  if (spec.actual_sigmas.size() > 1) row.add(actual_sigma, 1);
+  if (spec.jitters.size() > 1) row.add(jitter, 1);
+  if (spec.shapes.size() > 1) row.add(deployment_shape_name(shape));
+  if (spec.localizers.size() > 1) row.add(localizer);
+  if (spec.metrics.size() > 1) row.add(metric_name(metric));
+  if (spec.attacks.size() > 1) row.add(attack_class_name(cls));
+  row.add(x, 2).add(d, 0);
+  const std::vector<int>& benign_groups = benign_pass.victim_groups;
+  const auto all = [](int) { return true; };
+  if (mode == GroupThresholdMode::kPerGroup) {
+    row.add(rate_where(scores, attack_groups, thresholds, all), 4)
+        .add(rate_where(benign_scores, benign_groups, thresholds, all), 4);
+  } else {
+    row.add(fraction_above(scores, fit.threshold()), 4)
+        .add(fit.realized_fp, 4);
+  }
+  row.add(fit.threshold(), 2);
+  if (split_groups) {
+    const auto interior = [&](int g) {
+      return is_boundary[static_cast<std::size_t>(g)] == 0;
+    };
+    const auto boundary = [&](int g) {
+      return is_boundary[static_cast<std::size_t>(g)] != 0;
+    };
+    row.add(rate_where(scores, attack_groups, thresholds, interior), 4)
+        .add(rate_where(scores, attack_groups, thresholds, boundary), 4)
+        .add(rate_where(benign_scores, benign_groups, thresholds, interior), 4)
+        .add(rate_where(benign_scores, benign_groups, thresholds, boundary),
+             4);
+  }
+  if (spec.loc_error) row.add(st.loc_error_for(pipeline, localizer), 2);
+}
+
+// --- density-sweep: re-deploy per density m (Fig. 9) -------------------
+
+std::vector<TableDecl> density_tables(const ScenarioSpec& s) {
+  std::vector<std::string> cols = {"m"};
+  if (s.metrics.size() > 1) cols.push_back("metric");
+  if (s.attacks.size() > 1) cols.push_back("attack");
+  cols.insert(cols.end(), {"x", "D", "DR", "mle_loc_error", "threshold"});
+  return {{"density", cols}};
+}
+
+void run_density(KindState& st, const WorkItem& item, ItemSink& sink) {
+  const ScenarioSpec& spec = st.spec;
+  const int m = spec.densities[item.at[0]];
+  const MetricKind metric = spec.metrics[item.at[1]];
+  const AttackClass cls = spec.attacks[item.at[2]];
+  const double x = spec.compromised[item.at[3]];
+  const double d = spec.damages[item.at[4]];
+  // Each density re-deploys with the decorrelated per-m seed the Fig. 9
+  // sweep uses (density_pipeline_config).
+  Pipeline& pipeline =
+      st.pipeline_for(density_pipeline_config(spec.pipeline, m));
+  const std::string& localizer = spec.localizers.front();
+  const ThresholdFit fit = fit_threshold(
+      metric, st.benign_for(pipeline, localizer).scores.at(metric),
+      spec.fp_budget);
+  const std::vector<double> scores =
+      pipeline.attack_scores(AttackSpec{metric, cls, d, x});
+
+  Table& row = sink.row(0);
+  row.add(m);
+  if (spec.metrics.size() > 1) row.add(metric_name(metric));
+  if (spec.attacks.size() > 1) row.add(attack_class_name(cls));
+  row.add(x, 2)
+      .add(d, 0)
+      .add(fraction_above(scores, fit.threshold()), 4)
+      .add(st.loc_error_for(pipeline, localizer), 2)
+      .add(fit.threshold(), 2);
+}
+
+// --- deployment-pdf: the deployment pdf surface (Fig. 2) ---------------
+
+void run_pdf(KindState& st, const WorkItem& item, ItemSink& sink) {
+  const double sigma = st.spec.pipeline.deploy.sigma;
+  if (item.block == 0) {
+    const Vec2 dp{150.0, 150.0};  // the paper's Figure 2 group
+    const int grid = st.spec.pdf_grid;
+    for (int i = 0; i < grid; ++i) {
+      for (int j = 0; j < grid; ++j) {
+        const Vec2 p{300.0 * i / (grid - 1), 300.0 * j / (grid - 1)};
+        sink.row(0)
+            .add(p.x, 1)
+            .add(p.y, 1)
+            .add(gaussian2d_pdf_radial(distance(p, dp), sigma), 9);
+      }
+    }
+    return;
+  }
+  for (double r = 0.0; r <= 250.0; r += 25.0) {
+    sink.row(1)
+        .add(r, 0)
+        .add(gaussian2d_pdf_radial(r, sigma), 9)
+        .add(rayleigh_cdf(r, sigma), 6);
+  }
+}
+
+// --- gz-accuracy: g(z) table resolution ablation -----------------------
+
+void run_gz(KindState& st, const WorkItem& item, ItemSink& sink) {
+  const int omega = static_cast<int>(st.spec.omegas[item.at[0]]);
+  const GzTable table({st.spec.pipeline.deploy.radio_range,
+                       st.spec.pipeline.deploy.sigma},
+                      omega);
+  const double err = table.max_abs_error(2000);
+  sink.row(0)
+      .add(omega)
+      .add(err, 8)
+      .add(err * st.spec.pipeline.deploy.nodes_per_group, 5)
+      .add(static_cast<long long>((omega + 1) * sizeof(double)));
+}
+
+// --- correction: trimmed-ML location correction ------------------------
+
+void run_correction(KindState& st, const WorkItem& item, ItemSink& sink) {
+  const ScenarioSpec& spec = st.spec;
+  const DeploymentConfig& dcfg = spec.pipeline.deploy;
+  const Deployed& dep = st.deployed_for(spec.pipeline.seed);
+  const LocationCorrector corrector(dep.model, st.gz());
+  const auto error_after_correction = [&](const Observation& obs,
+                                          std::size_t node) {
+    return distance(corrector.correct(obs).corrected, dep.net.position(node));
+  };
+
+  if (item.block == 0) {
+    // The benign floor continues the root rng from its post-deployment
+    // state, so the same floor falls out of any shard that runs it.
+    Rng floor_rng = dep.rng;
+    const TrialBatch b =
+        draw_trials(dep.net, dcfg.field(), floor_rng, spec.trials, -1.0);
+    RunningStats floor;
+    for (std::size_t t = 0; t < b.nodes.size(); ++t) {
+      floor.add(error_after_correction(b.obs.to_observation(t), b.nodes[t]));
+    }
+    sink.row(0).add(floor.mean(), 1).add(floor.max(), 1).add(spec.trials);
+    return;
+  }
+
+  const AttackClass cls = spec.attacks[item.at[0]];
+  const double d = spec.damages[item.at[1]];
+  const TrialBatch b = st.item_trials(item.id, d);
+  std::vector<double> errs;
+  for (std::size_t t = 0; t < b.nodes.size(); ++t) {
+    const Observation a = b.obs.to_observation(t);
+    const ExpectedObservation mu =
+        dep.model.expected_observation(b.claims[t], st.gz());
+    errs.push_back(error_after_correction(
+        tainted(a, mu, dcfg.nodes_per_group, spec.metrics.front(), cls,
+                spec.compromised.front()),
+        b.nodes[t]));
+  }
+  double mean = 0.0;
+  int recovered = 0;
+  for (double e : errs) {
+    mean += e;
+    if (e < d / 2.0) ++recovered;  // "recovered": below half the damage
+  }
+  mean /= static_cast<double>(errs.size());
+  std::sort(errs.begin(), errs.end());
+  const double p90 = errs[static_cast<std::size_t>(
+      0.9 * static_cast<double>(errs.size() - 1))];
+  sink.row(1)
+      .add(attack_class_name(cls))
+      .add(d, 0)
+      .add(d, 0)
+      .add(mean, 1)
+      .add(p90, 1)
+      .add(static_cast<double>(recovered) / spec.trials, 3);
+}
+
+// --- echo-comparison: LAD vs the Echo protocol -------------------------
+
+void run_echo(KindState& st, const WorkItem& item, ItemSink& sink) {
+  const ScenarioSpec& spec = st.spec;
+  const DeploymentConfig& dcfg = spec.pipeline.deploy;
+  const Detector& detector = st.solo_detector();
+  const EchoProtocol echo = EchoProtocol::grid(
+      dcfg.field(), spec.echo_grid_x, spec.echo_grid_y, spec.echo_range);
+  if (item.block == 0) {
+    sink.row(0)
+        .add(echo.coverage(dcfg.field()), 3)
+        .add(detector.threshold(), 2);
+    return;
+  }
+
+  const double d = spec.damages[item.at[0]];
+  const Deployed& dep = st.deployed_for(spec.pipeline.seed);
+  const TrialBatch b = st.item_trials(item.id, d);
+  int rejected = 0, accepted = 0, uncovered = 0, lad_detected = 0;
+  for (std::size_t t = 0; t < b.nodes.size(); ++t) {
+    const Vec2 la = dep.net.position(b.nodes[t]);
+    const Vec2 claimed = b.claims[t];
+
+    // The attacker may stretch the echo (delay >= 0) but never shrink it;
+    // testing the honest echo plus one large delay covers the attacker's
+    // whole strategy space.
+    int verdict = echo.verify(claimed, la, 0.0);
+    if (verdict == -1) verdict = echo.verify(claimed, la, 10.0) == 1 ? 1 : -1;
+    if (verdict == 0) ++uncovered;
+    else if (verdict == 1) ++accepted;
+    else ++rejected;
+
+    const ExpectedObservation mu =
+        dep.model.expected_observation(claimed, st.gz());
+    const Observation taint =
+        tainted(b.obs.to_observation(t), mu, dcfg.nodes_per_group,
+                spec.metrics.front(), spec.attacks.front(),
+                spec.compromised.front());
+    if (detector.check(taint, claimed).anomaly) ++lad_detected;
+  }
+  sink.row(1)
+      .add(d, 0)
+      .add(rejected)
+      .add(accepted)
+      .add(uncovered)
+      .add(static_cast<double>(rejected) / spec.trials, 3)
+      .add(static_cast<double>(lad_detected) / spec.trials, 3);
+}
+
+// --- metric-fusion: attacker-vs-detector fusion matrix -----------------
+
+std::vector<TableDecl> fusion_tables(const ScenarioSpec& s) {
+  std::vector<std::string> cols = {"attacker_targets"};
+  for (MetricKind k : s.metrics) {
+    cols.push_back(std::string("DR_") + metric_name(k));
+  }
+  cols.push_back("DR_fusion");
+  return {{"benign", {"fused_FP", "tau"}}, {"fusion", cols}};
+}
+
+/// Per-metric thresholds.  They always travel through a DetectorBundle -
+/// the unit the CLI ships to sensors - either loaded from the spec's saved
+/// artifact ([detector] bundle = path) or captured in memory from the
+/// same training the historical inline path ran.  Either way the ablation
+/// exercises the deployment surface, not a parallel code path.
+std::map<MetricKind, double> fusion_thresholds(KindState& st,
+                                               Pipeline& pipeline) {
+  const ScenarioSpec& spec = st.spec;
+  DetectorBundle bundle;
+  if (!spec.bundle.empty()) {
+    bundle = load_bundle_file(spec.bundle);
+    // The artifact's thresholds are only meaningful against the score
+    // distribution of the deployment they were trained on; a mismatched
+    // bundle would silently skew every FP/DR column (fail-fast contract).
+    LAD_REQUIRE_MSG(
+        bundle.config == pipeline.model().config() &&
+            bundle.deployment_points == pipeline.model().deployment_points() &&
+            bundle.gz_omega == pipeline.config().gz_omega,
+        "bundle '" << spec.bundle
+                   << "' was trained on a different deployment than this "
+                      "scenario's [pipeline]");
+  } else {
+    const auto& benign_scores =
+        st.benign_for(pipeline, spec.localizers.front()).scores;
+    std::vector<DetectorSpec> sections;
+    sections.reserve(spec.metrics.size());
+    for (MetricKind k : spec.metrics) {
+      sections.push_back(detector_spec_from_training(
+          {train_threshold(k, benign_scores.at(k), spec.tau)}, spec.tau));
+    }
+    bundle = make_bundle(pipeline.model(), pipeline.config().gz_omega,
+                         std::move(sections));
+  }
+  std::map<MetricKind, double> thresholds;
+  for (MetricKind k : spec.metrics) {
+    const DetectorSpec* section = find_detector(bundle, k);
+    LAD_REQUIRE_MSG(section != nullptr,
+                    "bundle '" << spec.bundle
+                               << "' has no [detector] section for metric '"
+                               << metric_name(k) << "'");
+    thresholds[k] = section->threshold;
+  }
+  return thresholds;
+}
+
+void run_fusion(KindState& st, const WorkItem& item, ItemSink& sink) {
+  const ScenarioSpec& spec = st.spec;
+  Pipeline& pipeline = st.base_pipeline();
+  const std::map<MetricKind, double> thresholds =
+      fusion_thresholds(st, pipeline);
+  if (item.block == 0) {
+    const auto& benign_scores =
+        st.benign_for(pipeline, spec.localizers.front()).scores;
+    const std::size_t n = benign_scores.begin()->second.size();
+    int fused_fp = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      bool any = false;
+      for (MetricKind k : spec.metrics) {
+        if (benign_scores.at(k)[i] > thresholds.at(k)) any = true;
+      }
+      if (any) ++fused_fp;
+    }
+    sink.row(0)
+        .add(static_cast<double>(fused_fp) / static_cast<double>(n), 4)
+        .add(spec.tau, 3);
+    return;
+  }
+
+  const MetricKind target = spec.metrics[item.at[0]];
+  const auto cross = pipeline.attack_scores_cross(
+      AttackSpec{target, spec.attacks.front(), spec.damages.front(),
+                 spec.compromised.front()},
+      spec.metrics);
+  Table& row = sink.row(1).add(metric_name(target));
+  std::vector<char> fused_hit(cross.begin()->second.size(), 0);
+  for (MetricKind scorer : spec.metrics) {
+    const auto& scores = cross.at(scorer);
+    row.add(fraction_above(scores, thresholds.at(scorer)), 4);
+    for (std::size_t i = 0; i < scores.size(); ++i) {
+      if (scores[i] > thresholds.at(scorer)) fused_hit[i] = 1;
+    }
+  }
+  int hits = 0;
+  for (char h : fused_hit) hits += h;
+  row.add(static_cast<double>(hits) / static_cast<double>(fused_hit.size()),
+          4);
+}
+
+// --- mmse-vulnerability: MMSE / DV-Hop single-anchor lies --------------
+
+void run_mmse(KindState& st, const WorkItem& item, ItemSink& sink) {
+  const ScenarioSpec& spec = st.spec;
+  const std::uint64_t seed = spec.pipeline.seed;
+  if (item.block == 0) {
+    const double lie = spec.lies[item.at[0]];
+    // Per-item keyed stream: shard placement cannot perturb the draws.
+    Rng rng = Rng::stream(seed, static_cast<std::uint64_t>(item.id));
+    RunningStats err;
+    for (int trial = 0; trial < spec.trials; ++trial) {
+      const Vec2 truth{rng.uniform(100, 900), rng.uniform(100, 900)};
+      std::vector<Vec2> refs = {{100, 100}, {900, 100}, {100, 900}, {900, 900}};
+      std::vector<double> dists;
+      for (const Vec2& r : refs) dists.push_back(distance(truth, r));
+      const double theta = rng.uniform(0.0, 2 * M_PI);
+      refs[0] = polar_offset(refs[0], lie, theta);
+      const auto res = mmse_multilaterate(refs, dists);
+      if (res) err.add(distance(res->position, truth));
+    }
+    sink.row(0).add(lie, 0).add(err.mean(), 2).add(err.max(), 2);
+    return;
+  }
+
+  // DV-Hop end-to-end on the network deployed from seed + 1.  Each item
+  // owns its DvHopLocalizer (prepare/compromise mutate it) and re-rolls
+  // the same victim picks from seed + 2, exactly like the historical
+  // per-lie loop.
+  const double lie = spec.dvhop_lies[item.at[0]];
+  const Network& net = st.deployed_for(seed + 1).net;
+  DvHopLocalizer dvhop(3, 3);
+  dvhop.prepare(net);
+  if (lie > 0) dvhop.compromise_anchor(0, polar_offset({167, 167}, lie, 0.7));
+  RunningStats err;
+  // lad-lint: allow(rng-construct) -- historical per-lie victim stream
+  // (seed + 2); re-keying would change the golden CSV.
+  Rng pick(seed + 2);
+  for (int trial = 0; trial < spec.dvhop_trials; ++trial) {
+    const std::size_t node =
+        static_cast<std::size_t>(pick.uniform_int(net.num_nodes()));
+    err.add(distance(dvhop.localize(net, node), net.position(node)));
+  }
+  sink.row(1).add(lie, 0).add(err.mean(), 2);
+}
+
+// --- threshold-sensitivity: tau + miscalibration sweeps ----------------
+
+std::vector<TableDecl> threshold_tables(const ScenarioSpec& s) {
+  std::vector<std::string> tau_cols = {"tau", "threshold", "FP"};
+  for (double d : s.damages) tau_cols.push_back("DR@D=" + format_double(d, 0));
+  std::vector<std::string> fudge_cols = tau_cols;
+  fudge_cols.front() = "fudge";
+  return {{"tau", tau_cols}, {"fudge", fudge_cols}};
+}
+
+void run_threshold(KindState& st, const WorkItem& item, ItemSink& sink) {
+  const ScenarioSpec& spec = st.spec;
+  Pipeline& pipeline = st.base_pipeline();
+  const MetricKind metric = spec.metrics.front();
+  const std::vector<double>& benign_scores =
+      st.benign_for(pipeline, spec.localizers.front()).scores.at(metric);
+  const auto emit = [&](Table& row, double threshold) {
+    row.add(threshold, 2).add(fraction_above(benign_scores, threshold), 4);
+    for (double d : spec.damages) {
+      const std::vector<double>& scores = st.attack_scores_cached(
+          pipeline, AttackSpec{metric, spec.attacks.front(), d,
+                               spec.compromised.front()});
+      row.add(fraction_above(scores, threshold), 4);
+    }
+  };
+  if (item.block == 0) {
+    const double tau = spec.taus[item.at[0]];
+    emit(sink.row(0).add(tau, 3),
+         train_threshold(metric, benign_scores, tau).threshold);
+    return;
+  }
+  const double fudge = spec.fudges[item.at[0]];
+  const double base =
+      train_threshold(metric, benign_scores, spec.tau).threshold;
+  emit(sink.row(1).add(fudge, 2), base * fudge);
+}
+
+// --- time-evolving: the attacker corrupts more beacons each round ------
+
+void run_evolve(KindState& st, const WorkItem& item, ItemSink& sink) {
+  const ScenarioSpec& spec = st.spec;
+  const DeploymentConfig& dcfg = spec.pipeline.deploy;
+  // The threshold stays fixed across rounds - only the attacker evolves.
+  const Detector& detector = st.solo_detector();
+  if (item.block == 0) {
+    sink.row(0)
+        .add(detector.threshold(), 2)
+        .add(spec.evolve_rounds)
+        .add(spec.trials);
+    return;
+  }
+
+  const AttackClass cls = spec.attacks[item.at[0]];
+  const double d = spec.damages[item.at[1]];
+  const Deployed& dep = st.deployed_for(spec.pipeline.seed);
+  const TrialBatch b = st.item_trials(item.id, d);
+  std::vector<ExpectedObservation> mus;
+  mus.reserve(b.claims.size());
+  for (const Vec2& claim : b.claims) {
+    mus.push_back(dep.model.expected_observation(claim, st.gz()));
+  }
+  // Round r: the same victims re-assert the same claim, but the attacker
+  // has corrupted `initial + r * step` beacons by now (the greedy taint
+  // with a growing absolute budget is monotone, so round r+1's taint
+  // extends round r's).
+  for (int round = 0; round < spec.evolve_rounds; ++round) {
+    const int corrupted = spec.evolve_initial + round * spec.evolve_step;
+    int detected = 0;
+    for (std::size_t t = 0; t < b.nodes.size(); ++t) {
+      const TaintResult taint =
+          greedy_taint(b.obs.to_observation(t), mus[t], dcfg.nodes_per_group,
+                       spec.metrics.front(), cls, corrupted);
+      if (detector.check(taint.tainted, b.claims[t]).anomaly) ++detected;
+    }
+    sink.row(1)
+        .add(attack_class_name(cls))
+        .add(d, 0)
+        .add(round)
+        .add(corrupted)
+        .add(static_cast<double>(detected) / spec.trials, 3);
+  }
+}
+
+// --- in-network: neighbours vote on a claim, local majority ------------
+
+// One trial batch per item: draw the victims, observe, then vote.  `d < 0`
+// is the benign item (block 0): claim = truth, untainted observation.
+// Nodes within coop_radius of the CLAIMED location vote, but only those
+// with radio standing: a node expects to hear the claimer when the claim
+// is within the claimer's tx range (receiver-perspective unit disk,
+// deploy/network.h), and actually hears it when the true position is.
+// Expectation != reality is an anomalous vote; a node with neither
+// (outside both disks) has no evidence and abstains.  An honest claim
+// makes the two disks coincide, so the vote-level FP rate is exactly zero
+// by construction, while a displaced claim leaves both disks' occupants
+// testifying against it.
+void run_coop(KindState& st, const WorkItem& item, ItemSink& sink) {
+  const ScenarioSpec& spec = st.spec;
+  const DeploymentConfig& dcfg = spec.pipeline.deploy;
+  const Detector& detector = st.solo_detector();
+  const Deployed& dep = st.deployed_for(spec.pipeline.seed);
+  const Network& net = dep.net;
+  const double d = item.block == 0 ? -1.0 : spec.damages[item.at[0]];
+  const TrialBatch b = st.item_trials(item.id, d);
+
+  int solo = 0, coop = 0;
+  long long votes = 0, anomalous_votes = 0, voters_total = 0;
+  for (std::size_t t = 0; t < b.nodes.size(); ++t) {
+    const Observation a = b.obs.to_observation(t);
+    const Vec2 claim = b.claims[t];
+    const Observation heard =
+        d < 0 ? a
+              : tainted(a, dep.model.expected_observation(claim, st.gz()),
+                        dcfg.nodes_per_group, spec.metrics.front(),
+                        spec.attacks.front(), spec.compromised.front());
+    if (detector.check(heard, claim).anomaly) ++solo;
+    long long standing = 0, bad = 0;
+    const std::size_t node = b.nodes[t];
+    for (std::size_t v : net.nodes_within(claim, spec.coop_radius, node)) {
+      const double range = net.tx_range(node);
+      const bool expected = distance(net.position(v), claim) <= range;
+      const bool actual = distance(net.position(v), net.position(node)) <= range;
+      if (!expected && !actual) continue;  // no evidence either way
+      ++standing;
+      if (expected != actual) ++bad;
+    }
+    votes += standing;
+    anomalous_votes += bad;
+    voters_total += standing;
+    if (standing > 0 &&
+        static_cast<double>(bad) >=
+            spec.coop_majority * static_cast<double>(standing)) {
+      ++coop;
+    }
+  }
+  const double trials = static_cast<double>(spec.trials);
+  Table& row = sink.row(item.block);
+  if (d >= 0) row.add(d, 0);
+  row.add(solo / trials, 3)
+      .add(votes == 0 ? 0.0
+                      : static_cast<double>(anomalous_votes) /
+                            static_cast<double>(votes),
+           3)
+      .add(coop / trials, 3)
+      .add(static_cast<double>(voters_total) / trials, 1);
+}
+
+}  // namespace
+
+// --- the table --------------------------------------------------------
+
+const std::vector<KindDecl>& experiment_kinds() {
+  static const std::vector<KindDecl> kinds = {
+      {ExperimentKind::kRoc, "roc", "",
+       {"metrics", "attacks", "damages", "compromised"},
+       {"[output] fp_grid", "[output] curve_points"},
+       roc_tables,
+       [](const ScenarioSpec& s) -> ItemLayout {
+         return {{s.metrics.size(), s.attacks.size(), s.damages.size(),
+                  s.compromised.size()}};
+       },
+       run_roc},
+      {ExperimentKind::kDrSweep, "dr-sweep", "",
+       {"group_thresholds", "actual_sigmas", "jitters", "shapes", "localizers",
+        "metrics", "attacks", "compromised", "damages"},
+       {"[sweep] group_thresholds", "[detector] group_min_samples",
+        "[output] loc_error"},
+       dr_tables,
+       [](const ScenarioSpec& s) -> ItemLayout {
+         return {{s.group_threshold_modes.size(), mismatch_pairs(s).size(),
+                  s.shapes.size(), s.localizers.size(), s.metrics.size(),
+                  s.attacks.size(), s.compromised.size(), s.damages.size()}};
+       },
+       run_dr},
+      {ExperimentKind::kDensitySweep, "density-sweep", "",
+       {"densities", "metrics", "attacks", "compromised", "damages"},
+       {"[sweep] densities", "[quick] densities"},
+       density_tables,
+       [](const ScenarioSpec& s) -> ItemLayout {
+         return {{s.densities.size(), s.metrics.size(), s.attacks.size(),
+                  s.compromised.size(), s.damages.size()}};
+       },
+       run_density},
+      {ExperimentKind::kDeploymentPdf, "deployment-pdf", "pdf", {}, {},
+       [](const ScenarioSpec&) -> std::vector<TableDecl> {
+         return {{"surface", {"x", "y", "pdf"}},
+                 {"radial",
+                  {"distance_from_deployment_point", "pdf",
+                   "fraction_within_distance"}}};
+       },
+       [](const ScenarioSpec&) -> ItemLayout { return {{1}, {1}}; },
+       run_pdf},
+      {ExperimentKind::kGzAccuracy, "gz-accuracy", "gz", {}, {},
+       [](const ScenarioSpec&) -> std::vector<TableDecl> {
+         return {{"gz",
+                  {"omega", "max_abs_error", "max_mu_error_nodes",
+                   "table_bytes"}}};
+       },
+       [](const ScenarioSpec& s) -> ItemLayout { return {{s.omegas.size()}}; },
+       run_gz},
+      {ExperimentKind::kCorrection, "correction", "correction",
+       {"attacks", "damages"},
+       {"[quick] trials"},
+       [](const ScenarioSpec&) -> std::vector<TableDecl> {
+         return {{"benign_floor", {"mean_err", "max_err", "trials"}},
+                 {"correction",
+                  {"attack", "D", "err_accepting_Le", "err_corrected_mean",
+                   "err_corrected_p90", "recovered_frac"}}};
+       },
+       [](const ScenarioSpec& s) -> ItemLayout {
+         return {{1}, {s.attacks.size(), s.damages.size()}};
+       },
+       run_correction},
+      {ExperimentKind::kEchoComparison, "echo-comparison", "echo",
+       {"damages"},
+       {"[quick] trials"},
+       [](const ScenarioSpec&) -> std::vector<TableDecl> {
+         return {{"meta", {"echo_coverage", "lad_threshold"}},
+                 {"echo",
+                  {"D", "echo_rejected", "echo_accepted", "echo_uncovered",
+                   "echo_DR", "lad_DR"}}};
+       },
+       [](const ScenarioSpec& s) -> ItemLayout {
+         return {{1}, {s.damages.size()}};
+       },
+       run_echo},
+      {ExperimentKind::kMetricFusion, "metric-fusion", "",
+       {"metrics"},
+       {"[detector] bundle"},
+       fusion_tables,
+       [](const ScenarioSpec& s) -> ItemLayout {
+         return {{1}, {s.metrics.size()}};
+       },
+       run_fusion},
+      {ExperimentKind::kMmseVulnerability, "mmse-vulnerability", "mmse", {},
+       {"[quick] trials", "[quick] dvhop_trials"},
+       [](const ScenarioSpec&) -> std::vector<TableDecl> {
+         return {{"mmse", {"lie_m", "mmse_mean_err", "mmse_max_err"}},
+                 {"dvhop", {"lie_m", "dvhop_mean_err"}}};
+       },
+       [](const ScenarioSpec& s) -> ItemLayout {
+         return {{s.lies.size()}, {s.dvhop_lies.size()}};
+       },
+       run_mmse},
+      {ExperimentKind::kThresholdSensitivity, "threshold-sensitivity",
+       "threshold", {"damages"}, {},
+       threshold_tables,
+       [](const ScenarioSpec& s) -> ItemLayout {
+         return {{s.taus.size()}, {s.fudges.size()}};
+       },
+       run_threshold},
+      {ExperimentKind::kTimeEvolving, "time-evolving", "evolve",
+       {"attacks", "damages"},
+       {"[quick] trials"},
+       [](const ScenarioSpec&) -> std::vector<TableDecl> {
+         return {{"meta", {"lad_threshold", "rounds", "trials"}},
+                 {"evolve", {"attack", "D", "round", "corrupted", "DR"}}};
+       },
+       [](const ScenarioSpec& s) -> ItemLayout {
+         return {{1}, {s.attacks.size(), s.damages.size()}};
+       },
+       run_evolve},
+      {ExperimentKind::kInNetwork, "in-network", "coop",
+       {"damages"},
+       {"[quick] trials"},
+       [](const ScenarioSpec&) -> std::vector<TableDecl> {
+         return {{"fp", {"solo_FP", "node_FP", "coop_FP", "mean_voters"}},
+                 {"coop",
+                  {"D", "solo_DR", "node_DR", "coop_DR", "mean_voters"}}};
+       },
+       [](const ScenarioSpec& s) -> ItemLayout {
+         return {{1}, {s.damages.size()}};
+       },
+       run_coop},
+  };
+  return kinds;
+}
+
+namespace {
+
+long long block_items(const std::vector<std::size_t>& block) {
+  long long n = 1;
+  for (std::size_t size : block) n *= static_cast<long long>(size);
+  return n;
+}
+
+/// Decodes item `id` against `layout` (see sim/scenario_kinds.h).
+WorkItem decode_item(const ItemLayout& layout, long long id) {
+  WorkItem item;
+  item.id = id;
+  long long rest = id;
+  for (const std::vector<std::size_t>& block : layout) {
+    const long long n = block_items(block);
+    if (rest < n) {
+      item.at.resize(block.size());
+      for (std::size_t a = block.size(); a-- > 0;) {
+        const long long size = static_cast<long long>(block[a]);
+        item.at[a] = static_cast<std::size_t>(rest % size);
+        rest /= size;
+      }
+      return item;
+    }
+    rest -= n;
+    ++item.block;
+  }
+  LAD_REQUIRE_MSG(false, "work item " << id << " is out of range");
+  return item;  // unreachable
+}
+
+}  // namespace
+
+const KindDecl& kind_decl(ExperimentKind kind) {
+  const std::vector<KindDecl>& kinds = experiment_kinds();
+  const std::size_t i = static_cast<std::size_t>(kind);
+  LAD_REQUIRE_MSG(i < kinds.size() && kinds[i].kind == kind,
+                  "invalid experiment kind");
+  return kinds[i];
+}
+
+long long count_items(const ScenarioSpec& spec) {
+  long long n = 0;
+  for (const auto& block : kind_decl(spec.kind).layout(spec)) {
+    n += block_items(block);
+  }
+  return n;
+}
+
+}  // namespace detail
+
+struct ScenarioRunner::Impl : detail::KindState {
+  using KindState::KindState;
 };
 
 ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec)
@@ -302,11 +1175,16 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec)
 ScenarioRunner::~ScenarioRunner() = default;
 
 long long ScenarioRunner::num_items() const {
-  return total_items(impl_->spec);
+  return detail::count_items(impl_->spec);
 }
 
 std::vector<std::string> ScenarioRunner::table_ids() const {
-  return table_ids_for(impl_->spec);
+  std::vector<std::string> ids;
+  const ScenarioSpec& spec = impl_->spec;
+  for (const detail::TableDecl& t : detail::kind_decl(spec.kind).tables(spec)) {
+    ids.push_back(t.id);
+  }
+  return ids;
 }
 
 bool ScenarioRunner::output_complete(const std::string& dir,
@@ -365,1119 +1243,18 @@ ScenarioResult ScenarioRunner::run(const ShardRange& shard) {
   LAD_REQUIRE_MSG(shard.count >= 1 && shard.index >= 0 &&
                       shard.index < shard.count,
                   "invalid shard range " << shard.index << "/" << shard.count);
-  switch (impl_->spec.kind) {
-    case ExperimentKind::kRoc: return impl_->run_roc(shard);
-    case ExperimentKind::kDrSweep: return impl_->run_dr(shard);
-    case ExperimentKind::kDensitySweep: return impl_->run_density(shard);
-    case ExperimentKind::kDeploymentPdf: return impl_->run_pdf(shard);
-    case ExperimentKind::kGzAccuracy: return impl_->run_gz(shard);
-    case ExperimentKind::kCorrection: return impl_->run_correction(shard);
-    case ExperimentKind::kEchoComparison: return impl_->run_echo(shard);
-    case ExperimentKind::kMetricFusion: return impl_->run_fusion(shard);
-    case ExperimentKind::kMmseVulnerability: return impl_->run_mmse(shard);
-    case ExperimentKind::kThresholdSensitivity:
-      return impl_->run_threshold(shard);
-    case ExperimentKind::kTimeEvolving: return impl_->run_evolve(shard);
-    case ExperimentKind::kInNetwork: return impl_->run_coop(shard);
-  }
-  LAD_REQUIRE_MSG(false, "invalid experiment kind");
-  return {};  // unreachable
-}
-
-ScenarioResult ScenarioRunner::Impl::run_roc(const ShardRange& shard) {
-  const bool many_metrics = spec.metrics.size() > 1;
-  const bool many_attacks = spec.attacks.size() > 1;
-  const bool many_xs = spec.compromised.size() > 1;
-
-  std::vector<std::string> dims;
-  if (many_metrics) dims.push_back("metric");
-  if (many_attacks) dims.push_back("attack");
-  dims.push_back("D");
-  if (many_xs) dims.push_back("x");
-
-  std::vector<std::string> summary_cols = dims;
-  summary_cols.push_back("AUC");
-  for (double fp : spec.fp_grid) summary_cols.push_back(percent_label(fp));
-  std::vector<std::string> curve_cols = dims;
-  curve_cols.push_back("FP");
-  curve_cols.push_back("DR");
-
+  const ScenarioSpec& spec = impl_->spec;
+  const detail::KindDecl& kind = detail::kind_decl(spec.kind);
   ScenarioResult result{spec.name, {}};
-  result.tables.push_back({"summary", Table(summary_cols), {}});
-  if (spec.curve_points > 0) {
-    result.tables.push_back({"curves", Table(curve_cols), {}});
+  for (const detail::TableDecl& t : kind.tables(spec)) {
+    result.tables.push_back({t.id, Table(t.columns), {}});
   }
-
+  const detail::ItemLayout layout = kind.layout(spec);
+  const long long total = detail::count_items(spec);
   ItemScheduler sched(result, spec.jobs);
-  long long item = -1;
-  for (MetricKind metric : spec.metrics) {
-    for (AttackClass cls : spec.attacks) {
-      for (double d : spec.damages) {
-        for (double x : spec.compromised) {
-          ++item;
-          if (!shard.contains(item)) continue;
-          sched.add(item, [this, metric, cls, d, x, many_metrics,
-                           many_attacks, many_xs](ItemSink& sink) {
-            Pipeline& pipeline = pipeline_for(
-                group_config(spec.shapes.front(), spec.actual_sigmas.front(),
-                             spec.jitters.front()));
-            const std::vector<double>& benign_scores =
-                benign_for(pipeline, spec.localizers.front())
-                    .scores.at(metric);
-            AttackSpec attack;
-            attack.metric = metric;
-            attack.attack_class = cls;
-            attack.damage = d;
-            attack.compromised_frac = x;
-            const RocCurve curve(benign_scores,
-                                 pipeline.attack_scores(attack));
-
-            auto add_dims = [&](Table& t) -> Table& {
-              if (many_metrics) t.add(metric_name(metric));
-              if (many_attacks) t.add(attack_class_name(cls));
-              t.add(d, 0);
-              if (many_xs) t.add(x, 2);
-              return t;
-            };
-            Table& row = add_dims(sink.row(0));
-            row.add(curve.auc(), 4);
-            for (double fp : spec.fp_grid) {
-              row.add(curve.detection_rate_at_fp(fp), 4);
-            }
-            if (spec.curve_points > 0) {
-              const auto& pts = curve.points();
-              const std::size_t stride = std::max<std::size_t>(
-                  1, pts.size() / static_cast<std::size_t>(spec.curve_points));
-              for (std::size_t i = 0; i < pts.size(); i += stride) {
-                add_dims(sink.row(1))
-                    .add(pts[i].false_positive_rate, 5)
-                    .add(pts[i].detection_rate, 5);
-              }
-            }
-          });
-        }
-      }
-    }
-  }
-  sched.run();
-  return result;
-}
-
-ScenarioResult ScenarioRunner::Impl::run_dr(const ShardRange& shard) {
-  const auto pairs = mismatch_pairs(spec);
-  const bool many_sigmas = spec.actual_sigmas.size() > 1;
-  const bool many_jitters = spec.jitters.size() > 1;
-  const bool many_shapes = spec.shapes.size() > 1;
-  const bool many_locs = spec.localizers.size() > 1;
-  const bool many_metrics = spec.metrics.size() > 1;
-  const bool many_attacks = spec.attacks.size() > 1;
-  const bool many_modes = spec.group_threshold_modes.size() > 1;
-  // The boundary/interior split columns appear whenever the per_group mode
-  // is in play - the whole point of the sweep is comparing the edge
-  // against the (byte-identical) interior.
-  const bool split_groups =
-      std::find(spec.group_threshold_modes.begin(),
-                spec.group_threshold_modes.end(),
-                GroupThresholdMode::kPerGroup) !=
-      spec.group_threshold_modes.end();
-
-  std::vector<std::string> cols;
-  if (many_modes) cols.push_back("group_mode");
-  if (many_sigmas) cols.push_back("actual_sigma");
-  if (many_jitters) cols.push_back("jitter");
-  if (many_shapes) cols.push_back("shape");
-  if (many_locs) cols.push_back("localizer");
-  if (many_metrics) cols.push_back("metric");
-  if (many_attacks) cols.push_back("attack");
-  cols.push_back("x");
-  cols.push_back("D");
-  cols.push_back("DR");
-  cols.push_back("trained_FP");
-  cols.push_back("threshold");
-  if (split_groups) {
-    cols.insert(cols.end(),
-                {"DR_interior", "DR_boundary", "FP_interior", "FP_boundary"});
-  }
-  if (spec.loc_error) cols.push_back("loc_error");
-
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back({"dr", Table(cols), {}});
-
-  // fraction of `scores` above its victim-group threshold, restricted to
-  // samples whose group passes `keep` (empty selection -> 0).
-  const auto rate_where = [](const std::vector<double>& scores,
-                             const std::vector<int>& groups,
-                             const std::vector<double>& thresholds,
-                             const auto& keep) {
-    std::size_t n = 0, above = 0;
-    for (std::size_t i = 0; i < scores.size(); ++i) {
-      const int g = groups[i];
-      if (!keep(g)) continue;
-      ++n;
-      if (scores[i] > thresholds[static_cast<std::size_t>(g)]) ++above;
-    }
-    return n == 0 ? 0.0
-                  : static_cast<double>(above) / static_cast<double>(n);
-  };
-
-  ItemScheduler sched(result, spec.jobs);
-  long long item = -1;
-  for (GroupThresholdMode mode : spec.group_threshold_modes) {
-    for (const auto& pair : pairs) {
-      const double actual_sigma = pair.first;
-      const double jitter = pair.second;
-      for (DeploymentShape shape : spec.shapes) {
-        for (const std::string& localizer : spec.localizers) {
-          for (MetricKind metric : spec.metrics) {
-            for (AttackClass cls : spec.attacks) {
-              for (double x : spec.compromised) {
-                for (double d : spec.damages) {
-                  ++item;
-                  if (!shard.contains(item)) continue;
-                  sched.add(item, [this, mode, actual_sigma, jitter, shape,
-                                   localizer, metric, cls, x, d, many_modes,
-                                   many_sigmas, many_jitters, many_shapes,
-                                   many_locs, many_metrics, many_attacks,
-                                   split_groups,
-                                   &rate_where](ItemSink& sink) {
-                    Pipeline& pipeline = pipeline_for(
-                        group_config(shape, actual_sigma, jitter));
-                    const BenignPass& benign_pass =
-                        benign_for(pipeline, localizer);
-                    const std::vector<double>& benign_scores =
-                        benign_pass.scores.at(metric);
-                    const ThresholdFit fit =
-                        fit_threshold(metric, benign_scores, spec.fp_budget);
-                    AttackSpec attack;
-                    attack.metric = metric;
-                    attack.attack_class = cls;
-                    attack.damage = d;
-                    attack.compromised_frac = x;
-                    std::vector<int> attack_groups;
-                    const std::vector<double> scores = pipeline.attack_scores(
-                        attack, split_groups ? &attack_groups : nullptr);
-
-                    // Per-group threshold vector: the pooled fit everywhere,
-                    // boundary groups re-fitted on their own benign buckets
-                    // in per_group mode (interior groups always keep the
-                    // pooled value, which is what keeps their verdicts
-                    // byte-identical across modes).
-                    const std::size_t num_groups = static_cast<std::size_t>(
-                        pipeline.model().num_groups());
-                    std::vector<double> thresholds(num_groups,
-                                                   fit.threshold());
-                    std::vector<char> is_boundary(num_groups, 0);
-                    if (split_groups) {
-                      const std::vector<GroupTrainingResult>& fits =
-                          group_fit_for(pipeline, localizer, metric,
-                                        fit.threshold());
-                      for (const GroupTrainingResult& r : fits) {
-                        is_boundary[static_cast<std::size_t>(r.group)] = 1;
-                        if (mode == GroupThresholdMode::kPerGroup) {
-                          thresholds[static_cast<std::size_t>(r.group)] =
-                              r.training.threshold;
-                        }
-                      }
-                    }
-
-                    Table& row = sink.row(0);
-                    if (many_modes) row.add(group_threshold_mode_name(mode));
-                    if (many_sigmas) row.add(actual_sigma, 1);
-                    if (many_jitters) row.add(jitter, 1);
-                    if (many_shapes) row.add(deployment_shape_name(shape));
-                    if (many_locs) row.add(localizer);
-                    if (many_metrics) row.add(metric_name(metric));
-                    if (many_attacks) row.add(attack_class_name(cls));
-                    row.add(x, 2).add(d, 0);
-                    const auto all = [](int) { return true; };
-                    if (mode == GroupThresholdMode::kPerGroup) {
-                      row.add(rate_where(scores, attack_groups, thresholds,
-                                         all),
-                              4)
-                          .add(rate_where(benign_scores, benign_pass.victim_groups,
-                                          thresholds, all),
-                               4);
-                    } else {
-                      row.add(fraction_above(scores, fit.threshold()), 4)
-                          .add(fit.realized_fp, 4);
-                    }
-                    row.add(fit.threshold(), 2);
-                    if (split_groups) {
-                      const auto interior = [&](int g) {
-                        return is_boundary[static_cast<std::size_t>(g)] == 0;
-                      };
-                      const auto boundary = [&](int g) {
-                        return is_boundary[static_cast<std::size_t>(g)] != 0;
-                      };
-                      row.add(rate_where(scores, attack_groups, thresholds,
-                                         interior),
-                              4)
-                          .add(rate_where(scores, attack_groups, thresholds,
-                                          boundary),
-                               4)
-                          .add(rate_where(benign_scores, benign_pass.victim_groups,
-                                          thresholds, interior),
-                               4)
-                          .add(rate_where(benign_scores, benign_pass.victim_groups,
-                                          thresholds, boundary),
-                               4);
-                    }
-                    if (spec.loc_error) {
-                      row.add(loc_error_for(pipeline, localizer), 2);
-                    }
-                  });
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  sched.run();
-  return result;
-}
-
-ScenarioResult ScenarioRunner::Impl::run_density(const ShardRange& shard) {
-  const bool many_metrics = spec.metrics.size() > 1;
-  const bool many_attacks = spec.attacks.size() > 1;
-
-  std::vector<std::string> cols = {"m"};
-  if (many_metrics) cols.push_back("metric");
-  if (many_attacks) cols.push_back("attack");
-  cols.insert(cols.end(), {"x", "D", "DR", "mle_loc_error", "threshold"});
-
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back({"density", Table(cols), {}});
-
-  ItemScheduler sched(result, spec.jobs);
-  long long item = -1;
-  for (int m : spec.densities) {
-    for (MetricKind metric : spec.metrics) {
-      for (AttackClass cls : spec.attacks) {
-        for (double x : spec.compromised) {
-          for (double d : spec.damages) {
-            ++item;
-            if (!shard.contains(item)) continue;
-            sched.add(item, [this, m, metric, cls, x, d, many_metrics,
-                             many_attacks](ItemSink& sink) {
-              // Each density re-deploys with the decorrelated per-m seed the
-              // Fig. 9 sweep uses (density_pipeline_config).
-              Pipeline& pipeline =
-                  pipeline_for(density_pipeline_config(spec.pipeline, m));
-              const std::string& localizer = spec.localizers.front();
-              const ThresholdFit fit = fit_threshold(
-                  metric, benign_for(pipeline, localizer).scores.at(metric),
-                  spec.fp_budget);
-              AttackSpec attack;
-              attack.metric = metric;
-              attack.attack_class = cls;
-              attack.damage = d;
-              attack.compromised_frac = x;
-              const std::vector<double> scores =
-                  pipeline.attack_scores(attack);
-
-              Table& row = sink.row(0);
-              row.add(m);
-              if (many_metrics) row.add(metric_name(metric));
-              if (many_attacks) row.add(attack_class_name(cls));
-              row.add(x, 2)
-                  .add(d, 0)
-                  .add(fraction_above(scores, fit.threshold()), 4)
-                  .add(loc_error_for(pipeline, localizer), 2)
-                  .add(fit.threshold(), 2);
-            });
-          }
-        }
-      }
-    }
-  }
-  sched.run();
-  return result;
-}
-
-ScenarioResult ScenarioRunner::Impl::run_pdf(const ShardRange& shard) {
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back({"surface", Table({"x", "y", "pdf"}), {}});
-  result.tables.push_back(
-      {"radial", Table({"distance_from_deployment_point", "pdf",
-                        "fraction_within_distance"}),
-       {}});
-
-  const double sigma = spec.pipeline.deploy.sigma;
-  const Vec2 dp{150.0, 150.0};  // the paper's Figure 2 group
-
-  ItemScheduler sched(result, spec.jobs);
-  if (shard.contains(0)) {
-    sched.add(0, [this, sigma, dp](ItemSink& sink) {
-      const int grid = spec.pdf_grid;
-      for (int i = 0; i < grid; ++i) {
-        for (int j = 0; j < grid; ++j) {
-          const Vec2 p{300.0 * i / (grid - 1), 300.0 * j / (grid - 1)};
-          sink.row(0)
-              .add(p.x, 1)
-              .add(p.y, 1)
-              .add(gaussian2d_pdf_radial(distance(p, dp), sigma), 9);
-        }
-      }
-    });
-  }
-  if (shard.contains(1)) {
-    sched.add(1, [sigma](ItemSink& sink) {
-      for (double r = 0.0; r <= 250.0; r += 25.0) {
-        sink.row(1)
-            .add(r, 0)
-            .add(gaussian2d_pdf_radial(r, sigma), 9)
-            .add(rayleigh_cdf(r, sigma), 6);
-      }
-    });
-  }
-  sched.run();
-  return result;
-}
-
-ScenarioResult ScenarioRunner::Impl::run_gz(const ShardRange& shard) {
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back(
-      {"gz", Table({"omega", "max_abs_error", "max_mu_error_nodes",
-                    "table_bytes"}),
-       {}});
-  const GzParams params{spec.pipeline.deploy.radio_range,
-                        spec.pipeline.deploy.sigma};
-  const int m = spec.pipeline.deploy.nodes_per_group;
-  ItemScheduler sched(result, spec.jobs);
-  for (std::size_t i = 0; i < spec.omegas.size(); ++i) {
-    const long long item = static_cast<long long>(i);
-    if (!shard.contains(item)) continue;
-    const int omega = static_cast<int>(spec.omegas[i]);
-    sched.add(item, [params, m, omega](ItemSink& sink) {
-      const GzTable table(params, omega);
-      const double err = table.max_abs_error(2000);
-      sink.row(0)
-          .add(omega)
-          .add(err, 8)
-          .add(err * m, 5)
-          .add(static_cast<long long>((omega + 1) * sizeof(double)));
-    });
-  }
-  sched.run();
-  return result;
-}
-
-ScenarioResult ScenarioRunner::Impl::run_correction(const ShardRange& shard) {
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back(
-      {"benign_floor", Table({"mean_err", "max_err", "trials"}), {}});
-  result.tables.push_back(
-      {"correction",
-       Table({"attack", "D", "err_accepting_Le", "err_corrected_mean",
-              "err_corrected_p90", "recovered_frac"}),
-       {}});
-  if (shard_is_empty(shard, spec)) return result;
-
-  const DeploymentConfig& dcfg = spec.pipeline.deploy;
-  const std::uint64_t seed = spec.pipeline.seed;
-  const double x = spec.compromised.front();
-  const MetricKind target = spec.metrics.front();
-  const int trials = spec.trials;
-
-  const DeploymentModel model(dcfg);
-  const GzTable gz({dcfg.radio_range, dcfg.sigma});
-  // The deployed network consumes the head of Rng(seed); the benign-floor
-  // item continues from the post-construction state, so the same network
-  // and floor fall out of any shard that needs them.
-  // lad-lint: allow(rng-construct) -- historical root stream for this
-  // work item; re-keying would change every golden CSV.
-  Rng rng(seed);
-  const Network net(model, rng);
-  const LocationCorrector corrector(model, gz);
-
-  auto draw_in_field = [&](Rng& r) {
-    std::size_t node;
-    do {
-      node = static_cast<std::size_t>(r.uniform_int(net.num_nodes()));
-    } while (!dcfg.field().contains(net.position(node)));
-    return node;
-  };
-
-  ItemScheduler sched(result, spec.jobs);
-  if (shard.contains(0)) {
-    // The benign-floor item continues the shared rng from its
-    // post-Network-construction state; the closure owns a value copy so
-    // the draw sequence matches the historical sequential run no matter
-    // when (or on which thread) the item executes.
-    sched.add(0, [rng, trials, &net, &corrector,
-                  &draw_in_field](ItemSink& sink) {
-      Rng floor_rng = rng;
-      RunningStats floor;
-      // Draw every floor sample first (identical rng call order), then one
-      // observation batch over all of them.
-      std::vector<std::size_t> nodes(static_cast<std::size_t>(trials));
-      for (std::size_t t = 0; t < nodes.size(); ++t) {
-        nodes[t] = draw_in_field(floor_rng);
-      }
-      ObservationBatch batch;
-      net.observe_many(nodes, batch);
-      for (std::size_t t = 0; t < nodes.size(); ++t) {
-        floor.add(
-            distance(corrector.correct(batch.to_observation(t)).corrected,
-                     net.position(nodes[t])));
-      }
-      sink.row(0).add(floor.mean(), 1).add(floor.max(), 1).add(trials);
-    });
-  }
-
-  long long item = 0;
-  for (AttackClass cls : spec.attacks) {
-    for (double d : spec.damages) {
-      ++item;
-      if (!shard.contains(item)) continue;
-      sched.add(item, [item, cls, d, seed, trials, x, target, &net, &model,
-                       &gz, &corrector, &dcfg,
-                       &draw_in_field](ItemSink& sink) {
-        std::vector<double> errs;
-        // Keyed by item id, not by the (possibly fractional) damage value,
-        // so distinct cells never share a stream.
-        Rng trial_rng = Rng::stream(seed, static_cast<std::uint64_t>(item));
-        // Victim + Le draws first (same rng call order as the historical
-        // per-trial loop), then a single observation batch.
-        std::vector<std::size_t> nodes(static_cast<std::size_t>(trials));
-        std::vector<Vec2> les(nodes.size());
-        for (std::size_t t = 0; t < nodes.size(); ++t) {
-          nodes[t] = draw_in_field(trial_rng);
-          les[t] = displaced_location(net.position(nodes[t]), d, dcfg.field(),
-                                      trial_rng);
-        }
-        ObservationBatch batch;
-        net.observe_many(nodes, batch);
-        for (std::size_t t = 0; t < nodes.size(); ++t) {
-          const Observation a = batch.to_observation(t);
-          const ExpectedObservation mu =
-              model.expected_observation(les[t], gz);
-          const TaintResult taint =
-              greedy_taint(a, mu, dcfg.nodes_per_group, target, cls,
-                           static_cast<int>(x * a.total()));
-          errs.push_back(distance(corrector.correct(taint.tainted).corrected,
-                                  net.position(nodes[t])));
-        }
-        double mean = 0.0;
-        int recovered = 0;
-        for (double e : errs) {
-          mean += e;
-          if (e < d / 2.0) ++recovered;  // "recovered": below half the damage
-        }
-        mean /= static_cast<double>(errs.size());
-        std::sort(errs.begin(), errs.end());
-        const double p90 =
-            errs[static_cast<std::size_t>(
-                0.9 * static_cast<double>(errs.size() - 1))];
-        sink.row(1)
-            .add(attack_class_name(cls))
-            .add(d, 0)
-            .add(d, 0)
-            .add(mean, 1)
-            .add(p90, 1)
-            .add(static_cast<double>(recovered) / trials, 3);
-      });
-    }
-  }
-  sched.run();
-  return result;
-}
-
-ScenarioResult ScenarioRunner::Impl::run_echo(const ShardRange& shard) {
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back(
-      {"meta", Table({"echo_coverage", "lad_threshold"}), {}});
-  result.tables.push_back(
-      {"echo", Table({"D", "echo_rejected", "echo_accepted", "echo_uncovered",
-                      "echo_DR", "lad_DR"}),
-       {}});
-  if (shard_is_empty(shard, spec)) return result;
-
-  const DeploymentConfig& dcfg = spec.pipeline.deploy;
-  const std::uint64_t seed = spec.pipeline.seed;
-  const MetricKind metric = spec.metrics.front();
-  const double x = spec.compromised.front();
-
-  const DeploymentModel model(dcfg);
-  const GzTable gz({dcfg.radio_range, dcfg.sigma});
-  // lad-lint: allow(rng-construct) -- historical root stream for this
-  // work item; re-keying would change every golden CSV.
-  Rng rng(seed);
-  const Network net(model, rng);
-  const BeaconlessMleLocalizer localizer(model, gz);
-  const EchoProtocol echo = EchoProtocol::grid(
-      dcfg.field(), spec.echo_grid_x, spec.echo_grid_y, spec.echo_range);
-
-  // Train LAD on benign samples (continues the shared rng, like the net).
-  const std::unique_ptr<Metric> scorer = make_metric(metric);
-  std::vector<double> benign_scores;
-  std::vector<std::size_t> train_nodes(
-      static_cast<std::size_t>(spec.echo_train_samples));
-  for (std::size_t i = 0; i < train_nodes.size(); ++i) {
-    train_nodes[i] = static_cast<std::size_t>(rng.uniform_int(net.num_nodes()));
-  }
-  ObservationBatch train_batch;
-  net.observe_many(train_nodes, train_batch);
-  for (std::size_t i = 0; i < train_nodes.size(); ++i) {
-    const Observation obs = train_batch.to_observation(i);
-    benign_scores.push_back(
-        scorer->score(obs,
-                      model.expected_observation(localizer.estimate(obs), gz),
-                      dcfg.nodes_per_group));
-  }
-  const double threshold =
-      train_threshold(metric, benign_scores, spec.tau).threshold;
-  const Detector detector(model, gz, metric, threshold);
-
-  ItemScheduler sched(result, spec.jobs);
-  if (shard.contains(0)) {
-    sched.add(0, [threshold, &echo, &dcfg](ItemSink& sink) {
-      sink.row(0).add(echo.coverage(dcfg.field()), 3).add(threshold, 2);
-    });
-  }
-
-  long long item = 0;
-  for (double d : spec.damages) {
-    ++item;
-    if (!shard.contains(item)) continue;
-    sched.add(item, [this, item, d, seed, metric, x, &net, &model, &gz,
-                     &echo, &detector, &dcfg](ItemSink& sink) {
-      int rejected = 0, accepted = 0, uncovered = 0, lad_detected = 0;
-      // Keyed by item id (see run_correction): damage values never collide
-      // with each other or with the shared training stream.
-      Rng trial_rng = Rng::stream(seed, static_cast<std::uint64_t>(item));
-      // Victim + claimed-location draws first (same rng call order), then
-      // one observation batch over the trials.
-      std::vector<std::size_t> nodes(static_cast<std::size_t>(spec.trials));
-      std::vector<Vec2> claims(nodes.size());
-      for (std::size_t t = 0; t < nodes.size(); ++t) {
-        std::size_t node;
-        do {
-          node =
-              static_cast<std::size_t>(trial_rng.uniform_int(net.num_nodes()));
-        } while (!dcfg.field().contains(net.position(node)));
-        nodes[t] = node;
-        claims[t] =
-            displaced_location(net.position(node), d, dcfg.field(), trial_rng);
-      }
-      ObservationBatch batch;
-      net.observe_many(nodes, batch);
-      for (std::size_t t = 0; t < nodes.size(); ++t) {
-        const Vec2 la = net.position(nodes[t]);
-        const Vec2 claimed = claims[t];
-
-        // The attacker may stretch the echo (delay >= 0) but never shrink
-        // it; testing the honest echo plus one large delay covers the
-        // attacker's whole strategy space.
-        int verdict = echo.verify(claimed, la, 0.0);
-        if (verdict == -1) {
-          verdict = echo.verify(claimed, la, 10.0) == 1 ? 1 : -1;
-        }
-        if (verdict == 0) ++uncovered;
-        else if (verdict == 1) ++accepted;
-        else ++rejected;
-
-        const Observation a = batch.to_observation(t);
-        const ExpectedObservation mu = model.expected_observation(claimed, gz);
-        const TaintResult taint = greedy_taint(
-            a, mu, dcfg.nodes_per_group, metric, spec.attacks.front(),
-            static_cast<int>(x * a.total()));
-        if (detector.check(taint.tainted, claimed).anomaly) ++lad_detected;
-      }
-      sink.row(1)
-          .add(d, 0)
-          .add(rejected)
-          .add(accepted)
-          .add(uncovered)
-          .add(static_cast<double>(rejected) / spec.trials, 3)
-          .add(static_cast<double>(lad_detected) / spec.trials, 3);
-    });
-  }
-  sched.run();
-  return result;
-}
-
-ScenarioResult ScenarioRunner::Impl::run_fusion(const ShardRange& shard) {
-  std::vector<std::string> cols = {"attacker_targets"};
-  for (MetricKind k : spec.metrics) {
-    cols.push_back(std::string("DR_") + metric_name(k));
-  }
-  cols.push_back("DR_fusion");
-
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back({"benign", Table({"fused_FP", "tau"}), {}});
-  result.tables.push_back({"fusion", Table(cols), {}});
-  if (shard_is_empty(shard, spec)) return result;
-
-  Pipeline& pipeline = pipeline_for(group_config(
-      spec.shapes.front(), spec.actual_sigmas.front(), spec.jitters.front()));
-  const auto& benign_scores =
-      benign_for(pipeline, spec.localizers.front()).scores;
-
-  // Thresholds always travel through a DetectorBundle - the unit the CLI
-  // ships to sensors - either loaded from the spec's saved artifact
-  // ([detector] bundle = path) or captured in memory from the same
-  // training the historical inline path ran.  Either way the ablation
-  // exercises the deployment surface, not a parallel code path.
-  DetectorBundle bundle;
-  if (!spec.bundle.empty()) {
-    bundle = load_bundle_file(spec.bundle);
-    // The artifact's thresholds are only meaningful against the score
-    // distribution of the deployment they were trained on; a mismatched
-    // bundle would silently skew every FP/DR column (fail-fast contract).
-    LAD_REQUIRE_MSG(
-        bundle.config == pipeline.model().config() &&
-            bundle.deployment_points == pipeline.model().deployment_points() &&
-            bundle.gz_omega == pipeline.config().gz_omega,
-        "bundle '" << spec.bundle
-                   << "' was trained on a different deployment than this "
-                      "scenario's [pipeline]");
-  } else {
-    std::vector<DetectorSpec> sections;
-    sections.reserve(spec.metrics.size());
-    for (MetricKind k : spec.metrics) {
-      sections.push_back(detector_spec_from_training(
-          {train_threshold(k, benign_scores.at(k), spec.tau)}, spec.tau));
-    }
-    bundle =
-        make_bundle(pipeline.model(), pipeline.config().gz_omega,
-                    std::move(sections));
-  }
-  std::map<MetricKind, double> thresholds;
-  for (MetricKind k : spec.metrics) {
-    const DetectorSpec* section = find_detector(bundle, k);
-    LAD_REQUIRE_MSG(section != nullptr,
-                    "bundle '" << spec.bundle
-                               << "' has no [detector] section for metric '"
-                               << metric_name(k) << "'");
-    thresholds[k] = section->threshold;
-  }
-  const double d = spec.damages.front();
-  const double x = spec.compromised.front();
-
-  ItemScheduler sched(result, spec.jobs);
-  if (shard.contains(0)) {
-    sched.add(0, [this, &benign_scores, &thresholds](ItemSink& sink) {
-      const std::size_t n = benign_scores.begin()->second.size();
-      int fused_fp = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        bool any = false;
-        for (MetricKind k : spec.metrics) {
-          if (benign_scores.at(k)[i] > thresholds.at(k)) any = true;
-        }
-        if (any) ++fused_fp;
-      }
-      sink.row(0)
-          .add(static_cast<double>(fused_fp) / static_cast<double>(n), 4)
-          .add(spec.tau, 3);
-    });
-  }
-
-  long long item = 0;
-  for (MetricKind target : spec.metrics) {
-    ++item;
-    if (!shard.contains(item)) continue;
-    sched.add(item, [this, target, d, x, &pipeline,
-                     &thresholds](ItemSink& sink) {
-      AttackSpec attack;
-      attack.metric = target;
-      attack.attack_class = spec.attacks.front();
-      attack.damage = d;
-      attack.compromised_frac = x;
-      const auto cross = pipeline.attack_scores_cross(attack, spec.metrics);
-
-      Table& row = sink.row(1).add(metric_name(target));
-      std::vector<char> fused_hit(cross.begin()->second.size(), 0);
-      for (MetricKind scorer : spec.metrics) {
-        const auto& scores = cross.at(scorer);
-        row.add(fraction_above(scores, thresholds.at(scorer)), 4);
-        for (std::size_t i = 0; i < scores.size(); ++i) {
-          if (scores[i] > thresholds.at(scorer)) fused_hit[i] = 1;
-        }
-      }
-      int hits = 0;
-      for (char h : fused_hit) hits += h;
-      row.add(
-          static_cast<double>(hits) / static_cast<double>(fused_hit.size()),
-          4);
-    });
-  }
-  sched.run();
-  return result;
-}
-
-ScenarioResult ScenarioRunner::Impl::run_mmse(const ShardRange& shard) {
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back(
-      {"mmse", Table({"lie_m", "mmse_mean_err", "mmse_max_err"}), {}});
-  result.tables.push_back({"dvhop", Table({"lie_m", "dvhop_mean_err"}), {}});
-
-  const std::uint64_t seed = spec.pipeline.seed;
-
-  ItemScheduler sched(result, spec.jobs);
-  long long item = -1;
-  for (double lie : spec.lies) {
-    ++item;
-    if (!shard.contains(item)) continue;
-    sched.add(item, [this, item, lie, seed](ItemSink& sink) {
-      // Per-item keyed stream: shard placement cannot perturb the draws.
-      Rng rng = Rng::stream(seed, static_cast<std::uint64_t>(item));
-      RunningStats err;
-      for (int trial = 0; trial < spec.trials; ++trial) {
-        const Vec2 truth{rng.uniform(100, 900), rng.uniform(100, 900)};
-        std::vector<Vec2> refs = {
-            {100, 100}, {900, 100}, {100, 900}, {900, 900}};
-        std::vector<double> dists;
-        for (const Vec2& r : refs) dists.push_back(distance(truth, r));
-        const double theta = rng.uniform(0.0, 2 * M_PI);
-        refs[0] = polar_offset(refs[0], lie, theta);
-        const auto res = mmse_multilaterate(refs, dists);
-        if (res) err.add(distance(res->position, truth));
-      }
-      sink.row(0).add(lie, 0).add(err.mean(), 2).add(err.max(), 2);
-    });
-  }
-
-  // DV-Hop end-to-end on one deployed network (deterministic shared state).
-  const DeploymentModel model(spec.pipeline.deploy);
-  // lad-lint: allow(rng-construct) -- historical seed+1 stream of the
-  // shared DV-Hop network; re-keying would change the golden CSV.
-  Rng net_rng(seed + 1);
-  const Network net(model, net_rng);
-  for (double lie : spec.dvhop_lies) {
-    ++item;
-    if (!shard.contains(item)) continue;
-    sched.add(item, [this, lie, seed, &net](ItemSink& sink) {
-      // Each item owns its DvHopLocalizer (prepare/compromise mutate it)
-      // and re-rolls the same victim picks from seed + 2, exactly like the
-      // historical per-lie loop.
-      DvHopLocalizer dvhop(3, 3);
-      dvhop.prepare(net);
-      if (lie > 0) {
-        dvhop.compromise_anchor(0, polar_offset({167, 167}, lie, 0.7));
-      }
-      RunningStats err;
-      // lad-lint: allow(rng-construct) -- historical per-lie victim
-      // stream (seed + 2); re-keying would change the golden CSV.
-      Rng pick(seed + 2);
-      for (int trial = 0; trial < spec.dvhop_trials; ++trial) {
-        const std::size_t node =
-            static_cast<std::size_t>(pick.uniform_int(net.num_nodes()));
-        err.add(distance(dvhop.localize(net, node), net.position(node)));
-      }
-      sink.row(1).add(lie, 0).add(err.mean(), 2);
-    });
-  }
-  sched.run();
-  return result;
-}
-
-ScenarioResult ScenarioRunner::Impl::run_threshold(const ShardRange& shard) {
-  std::vector<std::string> cols = {"threshold", "FP"};
-  for (double d : spec.damages) cols.push_back(dr_at_damage_label(d));
-  std::vector<std::string> tau_cols = {"tau"};
-  tau_cols.insert(tau_cols.end(), cols.begin(), cols.end());
-  std::vector<std::string> fudge_cols = {"fudge"};
-  fudge_cols.insert(fudge_cols.end(), cols.begin(), cols.end());
-
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back({"tau", Table(tau_cols), {}});
-  result.tables.push_back({"fudge", Table(fudge_cols), {}});
-  if (shard_is_empty(shard, spec)) return result;
-
-  Pipeline& pipeline = pipeline_for(group_config(
-      spec.shapes.front(), spec.actual_sigmas.front(), spec.jitters.front()));
-  const MetricKind metric = spec.metrics.front();
-  const std::vector<double>& benign_scores =
-      benign_for(pipeline, spec.localizers.front()).scores.at(metric);
-
-  auto attack_for = [&](double d) -> const std::vector<double>& {
-    AttackSpec attack;
-    attack.metric = metric;
-    attack.attack_class = spec.attacks.front();
-    attack.damage = d;
-    attack.compromised_frac = spec.compromised.front();
-    return attack_scores_cached(pipeline, attack);
-  };
-  auto emit = [&](Table& row, double threshold) {
-    row.add(threshold, 2).add(fraction_above(benign_scores, threshold), 4);
-    for (double d : spec.damages) {
-      row.add(fraction_above(attack_for(d), threshold), 4);
-    }
-  };
-
-  ItemScheduler sched(result, spec.jobs);
-  long long item = -1;
-  for (double tau : spec.taus) {
-    ++item;
-    if (!shard.contains(item)) continue;
-    sched.add(item, [tau, metric, &benign_scores, &emit](ItemSink& sink) {
-      const TrainingResult r = train_threshold(metric, benign_scores, tau);
-      emit(sink.row(0).add(tau, 3), r.threshold);
-    });
-  }
-  const double base =
-      spec.fudges.empty()
-          ? 0.0
-          : train_threshold(metric, benign_scores, spec.tau).threshold;
-  for (double fudge : spec.fudges) {
-    ++item;
-    if (!shard.contains(item)) continue;
-    sched.add(item, [fudge, base, &emit](ItemSink& sink) {
-      emit(sink.row(1).add(fudge, 2), base * fudge);
-    });
-  }
-  sched.run();
-  return result;
-}
-
-ScenarioResult ScenarioRunner::Impl::run_evolve(const ShardRange& shard) {
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back(
-      {"meta", Table({"lad_threshold", "rounds", "trials"}), {}});
-  result.tables.push_back(
-      {"evolve", Table({"attack", "D", "round", "corrupted", "DR"}), {}});
-  if (shard_is_empty(shard, spec)) return result;
-
-  const DeploymentConfig& dcfg = spec.pipeline.deploy;
-  const std::uint64_t seed = spec.pipeline.seed;
-  const MetricKind metric = spec.metrics.front();
-
-  const DeploymentModel model(dcfg);
-  const GzTable gz({dcfg.radio_range, dcfg.sigma});
-  // lad-lint: allow(rng-construct) -- historical root stream for this
-  // work item; re-keying would change every golden CSV.
-  Rng rng(seed);
-  const Network net(model, rng);
-  const BeaconlessMleLocalizer localizer(model, gz);
-
-  // Train LAD on benign samples (continues the shared rng, like run_echo);
-  // the threshold stays fixed across rounds - only the attacker evolves.
-  const std::unique_ptr<Metric> scorer = make_metric(metric);
-  std::vector<double> benign_scores;
-  std::vector<std::size_t> train_nodes(
-      static_cast<std::size_t>(spec.evolve_train_samples));
-  for (std::size_t i = 0; i < train_nodes.size(); ++i) {
-    train_nodes[i] = static_cast<std::size_t>(rng.uniform_int(net.num_nodes()));
-  }
-  ObservationBatch train_batch;
-  net.observe_many(train_nodes, train_batch);
-  for (std::size_t i = 0; i < train_nodes.size(); ++i) {
-    const Observation obs = train_batch.to_observation(i);
-    benign_scores.push_back(
-        scorer->score(obs,
-                      model.expected_observation(localizer.estimate(obs), gz),
-                      dcfg.nodes_per_group));
-  }
-  const double threshold =
-      train_threshold(metric, benign_scores, spec.tau).threshold;
-  const Detector detector(model, gz, metric, threshold);
-
-  ItemScheduler sched(result, spec.jobs);
-  if (shard.contains(0)) {
-    sched.add(0, [this, threshold](ItemSink& sink) {
-      sink.row(0).add(threshold, 2).add(spec.evolve_rounds).add(spec.trials);
-    });
-  }
-
-  long long item = 0;
-  for (AttackClass cls : spec.attacks) {
-    for (double d : spec.damages) {
-      ++item;
-      if (!shard.contains(item)) continue;
-      sched.add(item, [this, item, cls, d, seed, metric, &net, &model, &gz,
-                       &detector, &dcfg](ItemSink& sink) {
-        // Keyed by item id (see run_correction): (attack, damage) cells
-        // never share a stream with each other or with training.
-        Rng trial_rng = Rng::stream(seed, static_cast<std::uint64_t>(item));
-        // Victim + claimed-location draws first (one rng call order no
-        // matter how rounds interleave), then one observation batch.
-        std::vector<std::size_t> nodes(static_cast<std::size_t>(spec.trials));
-        std::vector<Vec2> claims(nodes.size());
-        for (std::size_t t = 0; t < nodes.size(); ++t) {
-          std::size_t node;
-          do {
-            node = static_cast<std::size_t>(
-                trial_rng.uniform_int(net.num_nodes()));
-          } while (!dcfg.field().contains(net.position(node)));
-          nodes[t] = node;
-          claims[t] = displaced_location(net.position(node), d, dcfg.field(),
-                                         trial_rng);
-        }
-        ObservationBatch batch;
-        net.observe_many(nodes, batch);
-        std::vector<ExpectedObservation> mus;
-        mus.reserve(claims.size());
-        for (const Vec2& claim : claims) {
-          mus.push_back(model.expected_observation(claim, gz));
-        }
-        // Round r: the same victims re-assert the same claim, but the
-        // attacker has corrupted `initial + r * step` beacons by now (the
-        // greedy taint with a growing absolute budget is monotone, so
-        // round r+1's taint extends round r's).
-        for (int round = 0; round < spec.evolve_rounds; ++round) {
-          const int corrupted = spec.evolve_initial + round * spec.evolve_step;
-          int detected = 0;
-          for (std::size_t t = 0; t < nodes.size(); ++t) {
-            const TaintResult taint =
-                greedy_taint(batch.to_observation(t), mus[t],
-                             dcfg.nodes_per_group, metric, cls, corrupted);
-            if (detector.check(taint.tainted, claims[t]).anomaly) ++detected;
-          }
-          sink.row(1)
-              .add(attack_class_name(cls))
-              .add(d, 0)
-              .add(round)
-              .add(corrupted)
-              .add(static_cast<double>(detected) / spec.trials, 3);
-        }
-      });
-    }
-  }
-  sched.run();
-  return result;
-}
-
-ScenarioResult ScenarioRunner::Impl::run_coop(const ShardRange& shard) {
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back(
-      {"fp",
-       Table({"solo_FP", "node_FP", "coop_FP", "mean_voters"}),
-       {}});
-  result.tables.push_back(
-      {"coop",
-       Table({"D", "solo_DR", "node_DR", "coop_DR", "mean_voters"}),
-       {}});
-  if (shard_is_empty(shard, spec)) return result;
-
-  const DeploymentConfig& dcfg = spec.pipeline.deploy;
-  const std::uint64_t seed = spec.pipeline.seed;
-  const MetricKind metric = spec.metrics.front();
-  const AttackClass cls = spec.attacks.front();
-  const double x = spec.compromised.front();
-
-  const DeploymentModel model(dcfg);
-  const GzTable gz({dcfg.radio_range, dcfg.sigma});
-  // lad-lint: allow(rng-construct) -- historical root stream for this
-  // work item; re-keying would change every golden CSV.
-  Rng rng(seed);
-  const Network net(model, rng);
-  const BeaconlessMleLocalizer localizer(model, gz);
-
-  // Train the solo LAD detector (continues the shared rng, like run_echo).
-  const std::unique_ptr<Metric> scorer = make_metric(metric);
-  std::vector<double> benign_scores;
-  std::vector<std::size_t> train_nodes(
-      static_cast<std::size_t>(spec.coop_train_samples));
-  for (std::size_t i = 0; i < train_nodes.size(); ++i) {
-    train_nodes[i] = static_cast<std::size_t>(rng.uniform_int(net.num_nodes()));
-  }
-  ObservationBatch train_batch;
-  net.observe_many(train_nodes, train_batch);
-  for (std::size_t i = 0; i < train_nodes.size(); ++i) {
-    const Observation obs = train_batch.to_observation(i);
-    benign_scores.push_back(
-        scorer->score(obs,
-                      model.expected_observation(localizer.estimate(obs), gz),
-                      dcfg.nodes_per_group));
-  }
-  const double threshold =
-      train_threshold(metric, benign_scores, spec.tau).threshold;
-  const Detector detector(model, gz, metric, threshold);
-
-  // One trial batch shared by the benign and every attack item: draw the
-  // victims, observe, then vote.  `d < 0` means benign (claim = truth,
-  // untainted observation).  Nodes within coop_radius of the CLAIMED
-  // location vote, but only those with radio standing: a node expects to
-  // hear the claimer when the claim is within the claimer's tx range
-  // (receiver-perspective unit disk, deploy/network.h), and actually
-  // hears it when the true position is.  Expectation != reality is an
-  // anomalous vote; a node with neither (outside both disks) has no
-  // evidence and abstains.  An honest claim makes the two disks coincide,
-  // so the vote-level FP rate is exactly zero by construction, while a
-  // displaced claim leaves both disks' occupants testifying against it.
-  const auto run_trials = [this, seed, metric, cls, x, &net, &model, &gz,
-                           &detector,
-                           &dcfg](long long item, double d, Table& row) {
-    Rng trial_rng = Rng::stream(seed, static_cast<std::uint64_t>(item));
-    std::vector<std::size_t> nodes(static_cast<std::size_t>(spec.trials));
-    std::vector<Vec2> claims(nodes.size());
-    for (std::size_t t = 0; t < nodes.size(); ++t) {
-      std::size_t node;
-      do {
-        node =
-            static_cast<std::size_t>(trial_rng.uniform_int(net.num_nodes()));
-      } while (!dcfg.field().contains(net.position(node)));
-      nodes[t] = node;
-      claims[t] = d < 0 ? net.position(node)
-                        : displaced_location(net.position(node), d,
-                                             dcfg.field(), trial_rng);
-    }
-    ObservationBatch batch;
-    net.observe_many(nodes, batch);
-
-    int solo = 0, coop = 0;
-    long long votes = 0, anomalous_votes = 0, voters_total = 0;
-    for (std::size_t t = 0; t < nodes.size(); ++t) {
-      const Observation a = batch.to_observation(t);
-      if (d < 0) {
-        if (detector.check(a, claims[t]).anomaly) ++solo;
-      } else {
-        const ExpectedObservation mu =
-            model.expected_observation(claims[t], gz);
-        const TaintResult taint =
-            greedy_taint(a, mu, dcfg.nodes_per_group, metric, cls,
-                         static_cast<int>(x * a.total()));
-        if (detector.check(taint.tainted, claims[t]).anomaly) ++solo;
-      }
-      const std::vector<std::size_t> nearby =
-          net.nodes_within(claims[t], spec.coop_radius, nodes[t]);
-      long long standing = 0, bad = 0;
-      for (std::size_t v : nearby) {
-        const double range = net.tx_range(nodes[t]);
-        const bool expected =
-            distance(net.position(v), claims[t]) <= range;
-        const bool actual =
-            distance(net.position(v), net.position(nodes[t])) <= range;
-        if (!expected && !actual) continue;  // no evidence either way
-        ++standing;
-        if (expected != actual) ++bad;
-      }
-      votes += standing;
-      anomalous_votes += bad;
-      voters_total += standing;
-      if (standing > 0 &&
-          static_cast<double>(bad) >=
-              spec.coop_majority * static_cast<double>(standing)) {
-        ++coop;
-      }
-    }
-    const double trials = static_cast<double>(spec.trials);
-    if (d >= 0) row.add(d, 0);
-    row.add(solo / trials, 3)
-        .add(votes == 0 ? 0.0
-                        : static_cast<double>(anomalous_votes) /
-                              static_cast<double>(votes),
-             3)
-        .add(coop / trials, 3)
-        .add(static_cast<double>(voters_total) / trials, 1);
-  };
-
-  ItemScheduler sched(result, spec.jobs);
-  if (shard.contains(0)) {
-    sched.add(0, [&run_trials](ItemSink& sink) {
-      run_trials(0, -1.0, sink.row(0));
-    });
-  }
-  long long item = 0;
-  for (double d : spec.damages) {
-    ++item;
-    if (!shard.contains(item)) continue;
-    sched.add(item, [item, d, &run_trials](ItemSink& sink) {
-      run_trials(item, d, sink.row(1));
-    });
+  for (long long id = shard.index; id < total; id += shard.count) {
+    sched.add(id, [this, &kind, item = detail::decode_item(layout, id)](
+                      ItemSink& sink) { kind.run_item(*impl_, item, sink); });
   }
   sched.run();
   return result;

@@ -228,6 +228,45 @@ TEST(ScenarioSpec, ForeignKindSectionsAreRejected) {
   }
 }
 
+// An optional key only some kinds read is dead configuration anywhere
+// else, rejected by name: a gz-accuracy spec used to ignore all six.
+TEST(ScenarioSpec, KeysOnlyOtherKindsReadAreRejectedByName) {
+  const auto parse = [](const std::string& kind, const std::string& body) {
+    return ScenarioSpec::from_config(KvConfig::parse_string(
+        "[scenario]\nname = x\nexperiment = " + kind + "\n" + body));
+  };
+  const std::vector<std::pair<std::string, std::string>> keys = {
+      {"quick", "densities = 50"}, {"quick", "dvhop_trials = 4"},
+      {"quick", "trials = 4"},     {"output", "fp_grid = 0.1"},
+      {"output", "curve_points = 4"}, {"output", "loc_error = true"}};
+  for (const auto& [section, line] : keys) {
+    const std::string key =
+        "[" + section + "] " + line.substr(0, line.find(' '));
+    SCOPED_TRACE(key);
+    try {
+      parse("gz-accuracy", "[" + section + "]\n" + line + "\n");
+      FAIL() << "expected AssertionError";
+    } catch (const AssertionError& e) {
+      EXPECT_NE(std::string(e.what()).find(key + " is only read by"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Each stays valid on the kinds that read it.
+  EXPECT_NO_THROW(parse("density-sweep",
+                        "[quick]\ndensities = 50\n[sweep]\ndensities = 100\n"));
+  EXPECT_NO_THROW(
+      parse("mmse-vulnerability", "[quick]\ntrials = 4\ndvhop_trials = 4\n"));
+  for (const char* kind : {"correction", "echo-comparison", "time-evolving",
+                           "in-network"}) {
+    EXPECT_NO_THROW(parse(kind, "[quick]\ntrials = 4\n")) << kind;
+  }
+  EXPECT_NO_THROW(parse("roc", "[output]\nfp_grid = 0.1\ncurve_points = 4\n"));
+  EXPECT_NO_THROW(parse("dr-sweep", "[output]\nloc_error = true\n"));
+  EXPECT_THROW(parse("dr-sweep", "[output]\ncurve_points = 4\n"),
+               AssertionError);
+}
+
 TEST(ScenarioSpec, QuickOverridesApply) {
   ScenarioSpec spec = ScenarioSpec::from_config(KvConfig::parse_string(
       "[scenario]\nname = x\nexperiment = density-sweep\n"

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "rng/rng.h"
+#include "sim/scenario_kinds.h"
 #include "util/assert.h"
 
 namespace lad {
@@ -137,8 +138,9 @@ TEST(ScenarioFuzz, CorpusReproducersStayRejected) {
   EXPECT_GE(count, 3);
 }
 
-// The library-level loop: a short run must be clean and (in invalid
-// mode) cover every mutation class via the forced round-robin prefix.
+// The library-level loop: a short run must be clean and cover, via the
+// forced round-robin prefixes, every kind in the kind table (valid mode)
+// and every mutation class (invalid mode).
 TEST(ScenarioFuzz, ShortFuzzRunsAreCleanAndCoverEveryClass) {
   FuzzOptions valid_opts;
   valid_opts.seed = 3;
@@ -146,6 +148,14 @@ TEST(ScenarioFuzz, ShortFuzzRunsAreCleanAndCoverEveryClass) {
   const FuzzReport valid_report = fuzz_scn(valid_opts);
   EXPECT_TRUE(valid_report.ok());
   EXPECT_EQ(valid_report.iterations, 20);
+  std::vector<std::string> kinds;
+  for (const detail::KindDecl& kind : detail::experiment_kinds()) {
+    kinds.push_back(kind.name);
+  }
+  std::vector<std::string> seen = valid_report.kinds_seen;
+  std::sort(kinds.begin(), kinds.end());
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, kinds);
 
   FuzzOptions invalid_opts;
   invalid_opts.seed = 3;
