@@ -1,7 +1,7 @@
-// Geometric predicates used by the localization schemes (APIT's
-// point-in-triangle test, MMSE residuals) and by the g(z) validation tests
-// (circle-circle intersection area has a closed form we check the Theorem-1
-// integral against).
+// Triangle and segment predicates, and the disk geometry behind g(z):
+// arc_half_angle is Theorem 1's cos^{-1} term, and circle-circle
+// intersection area has a closed form we check the Theorem-1 integral
+// against.
 #pragma once
 
 #include "geom/vec2.h"

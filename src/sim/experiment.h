@@ -1,28 +1,20 @@
-// Experiment runners for every figure of Section 7.  Each returns
-// structured results; the bench binaries render them as the paper's series.
-//
-//  Fig. 4  run_roc_experiment over metrics x damages (DR-FP-M-D)
-//  Figs. 5/6  run_roc_experiment over attack classes x damages (DR-FP-T-D)
-//  Fig. 7  run_dr_sweep over damages x compromise fractions (DR-D-x)
-//  Fig. 8  run_dr_sweep over compromise fractions x damages (DR-x-D)
-//  Fig. 9  run_density_sweep over m x compromise fractions x damages
+// The threshold trainer the scenario runner's experiment kinds share:
+// every detection rate in Figs. 7-9 is measured against a threshold fit
+// here, and Fig. 9's density items deploy through density_pipeline_config.
 #pragma once
 
-#include <string>
 #include <vector>
 
-#include "attack/adversary.h"
 #include "core/metric.h"
 #include "core/trainer.h"
 #include "sim/pipeline.h"
-#include "stats/roc.h"
 
 namespace lad {
 
 /// A threshold trained at the (1 - fp_budget) percentile of benign scores
 /// (Section 5.5 with tau = 1 - FP), plus the FP rate it realizes on the
-/// training samples.  This is the single trainer path shared by
-/// run_dr_sweep, run_density_sweep, and the scenario runner.
+/// training samples.  This is the single trainer path of the scenario
+/// runner.
 struct ThresholdFit {
   TrainingResult training;
   double realized_fp;  ///< FP of the trained threshold on the training set
@@ -35,63 +27,8 @@ ThresholdFit fit_threshold(MetricKind metric,
                            const std::vector<double>& benign_scores,
                            double fp_budget);
 
-/// Convenience: runs the benign pass first, then trains.
-ThresholdFit fit_threshold(Pipeline& pipeline, const LocalizerFactory& factory,
-                           MetricKind metric, double fp_budget);
-
-/// The per-density pipeline configuration run_density_sweep deploys:
-/// density m with a seed decorrelated from the base seed.  Exposed so the
-/// scenario runner's density work items reproduce the sweep exactly.
+/// The per-density pipeline configuration of Fig. 9: density m with a
+/// seed decorrelated from the base seed.
 PipelineConfig density_pipeline_config(const PipelineConfig& base, int m);
-
-struct RocExperimentResult {
-  MetricKind metric;
-  AttackClass attack_class;
-  double damage;
-  double compromised_frac;
-  RocCurve curve;
-};
-
-/// Shares one benign pass across all (metric, class, damage) combinations,
-/// exactly as the paper's training step does.
-std::vector<RocExperimentResult> run_roc_experiment(
-    Pipeline& pipeline, const LocalizerFactory& factory,
-    const std::vector<MetricKind>& metrics,
-    const std::vector<AttackClass>& classes,
-    const std::vector<double>& damages, double compromised_frac);
-
-struct DrPoint {
-  double damage;
-  double compromised_frac;
-  double detection_rate;
-  double trained_fp;   ///< realized FP of the trained threshold (training set)
-  double threshold;    ///< the trained threshold
-};
-
-/// Trains the threshold at the (1 - fp_budget) percentile of benign scores
-/// (Section 5.5 with tau = 1 - FP), then sweeps attacks.
-std::vector<DrPoint> run_dr_sweep(Pipeline& pipeline,
-                                  const LocalizerFactory& factory,
-                                  MetricKind metric, AttackClass attack_class,
-                                  const std::vector<double>& damages,
-                                  const std::vector<double>& compromised_fracs,
-                                  double fp_budget);
-
-struct DensityPoint {
-  int nodes_per_group;     ///< m
-  double damage;
-  double compromised_frac;
-  double detection_rate;
-  double mean_loc_error;   ///< the localization scheme's benign error at m
-  double threshold;
-};
-
-/// Fig. 9: re-deploys at each density m (threshold retrained per density,
-/// which is the mechanism behind the paper's observed improvement).
-std::vector<DensityPoint> run_density_sweep(
-    const PipelineConfig& base_config, const std::vector<int>& densities,
-    MetricKind metric, AttackClass attack_class,
-    const std::vector<double>& damages,
-    const std::vector<double>& compromised_fracs, double fp_budget);
 
 }  // namespace lad

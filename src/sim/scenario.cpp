@@ -92,20 +92,7 @@ GroupThresholdMode group_threshold_mode_from_name(const std::string& name) {
   return GroupThresholdMode::kGlobal;  // unreachable
 }
 
-}  // namespace
-
-const char* experiment_kind_name(ExperimentKind kind) {
-  return detail::kind_decl(kind).name;
-}
-
-const char* group_threshold_mode_name(GroupThresholdMode mode) {
-  switch (mode) {
-    case GroupThresholdMode::kGlobal: return "global";
-    case GroupThresholdMode::kPerGroup: return "per_group";
-  }
-  return "?";
-}
-
+// The localizer registry's names, without a pipeline (spec parsing).
 bool is_known_localizer(const std::string& name) {
   if (name == "beaconless-mle" || name == "weighted-centroid" ||
       name == "dv-hop" || name == "amorphous") {
@@ -121,6 +108,20 @@ bool is_known_localizer(const std::string& name) {
     }
   }
   return false;
+}
+
+}  // namespace
+
+const char* experiment_kind_name(ExperimentKind kind) {
+  return detail::kind_decl(kind).name;
+}
+
+const char* group_threshold_mode_name(GroupThresholdMode mode) {
+  switch (mode) {
+    case GroupThresholdMode::kGlobal: return "global";
+    case GroupThresholdMode::kPerGroup: return "per_group";
+  }
+  return "?";
 }
 
 LocalizerFactory localizer_factory_from_name(const std::string& name,

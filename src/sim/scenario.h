@@ -258,8 +258,6 @@ class ScenarioRunner {
 /// The factory borrows `pipeline` (model + g(z) table); keep it alive.
 LocalizerFactory localizer_factory_from_name(const std::string& name,
                                              const Pipeline& pipeline);
-/// Validates a registry name without needing a pipeline (spec parsing).
-bool is_known_localizer(const std::string& name);
 
 /// Writes one "<scenario>.<table>.csv" per result table into `dir`
 /// (created if missing) with the work-item tag as the first column.

@@ -162,30 +162,6 @@ TEST(GridIndex, ClampedPointsAndOutOfBoundsQueriesWithFineCells) {
   EXPECT_EQ(got[0], 6u);  // (503, -9)
 }
 
-TEST(GridIndex, TemplatedVisitorAndFunctionShimAgree) {
-  Rng rng(21);
-  const Aabb box = Aabb::square(100.0);
-  const auto pts = random_points(400, box, rng);
-  const GridIndex index(pts, box, 9.0);
-  for (int trial = 0; trial < 30; ++trial) {
-    const Vec2 q{rng.uniform(-10, 110), rng.uniform(-10, 110)};
-    const double r = rng.uniform(0.0, 35.0);
-    std::vector<std::size_t> via_template;
-    index.for_each_in_radius(
-        q, r, [&](std::size_t i) { via_template.push_back(i); });
-    std::vector<std::size_t> via_shim;
-    const std::function<void(std::size_t)> fn = [&](std::size_t i) {
-      via_shim.push_back(i);
-    };
-    index.for_each_in_radius(q, r, fn);
-    // Identical contents *and* identical visitation order.
-    EXPECT_EQ(via_template, via_shim);
-    auto want = brute_force_query(pts, q, r);
-    std::sort(via_template.begin(), via_template.end());
-    EXPECT_EQ(via_template, want);
-  }
-}
-
 TEST(GridIndex, SlotQueriesExposeCellOrderedRows) {
   Rng rng(31);
   const Aabb box = Aabb::square(50.0);

@@ -8,9 +8,6 @@
 #include "deploy/observation.h"
 #include "geom/vec2.h"
 #include "loc/amorphous.h"
-#include "loc/apit.h"
-#include "loc/beacons.h"
-#include "loc/centroid.h"
 #include "loc/dvhop.h"
 #include "loc/localizer.h"
 #include "loc/truth_noise.h"
@@ -77,35 +74,6 @@ TEST_F(LocalizersTest, WeightedCentroidEmptyObservationFallsBack) {
   EXPECT_EQ(weighted_centroid_estimate(model_, empty), cfg_.field().center());
 }
 
-TEST_F(LocalizersTest, CentroidErrorBoundedByBeaconRange) {
-  const BeaconField beacons =
-      BeaconField::grid(cfg_.field(), 4, 4, 200.0);
-  CentroidLocalizer centroid(beacons);
-  centroid.prepare(net_);
-  Rng rng(5);
-  for (int i = 0; i < 40; ++i) {
-    const std::size_t node = static_cast<std::size_t>(
-        rng.uniform_int(std::uint64_t(net_.num_nodes())));
-    const Vec2 le = centroid.localize(net_, node);
-    // The centroid of heard beacons is within the beacon range of the node
-    // (all heard beacons are within range, and the centroid is in their
-    // convex hull).
-    EXPECT_LE(distance(le, net_.position(node)), 200.0 + 1e-9);
-  }
-  EXPECT_EQ(centroid.name(), "centroid");
-}
-
-TEST_F(LocalizersTest, CentroidCompromisedBeaconShiftsEstimate) {
-  BeaconField beacons = BeaconField::grid(cfg_.field(), 4, 4, 200.0);
-  CentroidLocalizer centroid(beacons);
-  const Vec2 honest = centroid.estimate_at({300, 300});
-  const auto heard = beacons.heard_at({300, 300});
-  ASSERT_FALSE(heard.empty());
-  beacons.compromise(heard[0], {30000, 30000});
-  const Vec2 attacked = centroid.estimate_at({300, 300});
-  EXPECT_GT(distance(attacked, honest), 500.0);
-}
-
 TEST_F(LocalizersTest, DvHopBeatsGridCellScale) {
   DvHopLocalizer dvhop(4, 4);
   const double err = mean_error(dvhop);
@@ -151,32 +119,6 @@ TEST_F(LocalizersTest, KleinrockSilvesterFormulaSane) {
   EXPECT_LE(dense, R);
   EXPECT_GT(sparse, 0.0);
   EXPECT_THROW(kleinrock_silvester_hop_distance(0.0, R), AssertionError);
-}
-
-TEST_F(LocalizersTest, ApitLocalizesWithinBeaconSpacing) {
-  const BeaconField beacons = BeaconField::grid(cfg_.field(), 4, 4, 250.0);
-  ApitLocalizer apit(beacons, 60, 40);
-  const double err = mean_error(apit, 25);
-  // APIT is the coarsest scheme here (center-of-gravity of surviving grid
-  // cells); it must land within ~1.5x the beacon spacing (150 m pitch).
-  EXPECT_LT(err, 230.0);
-  EXPECT_EQ(apit.name(), "apit");
-}
-
-TEST_F(LocalizersTest, ApitPitTestAcceptsDeepInteriorPoint) {
-  const BeaconField beacons = BeaconField::grid(cfg_.field(), 4, 4, 1000.0);
-  ApitLocalizer apit(beacons, 40, 10);
-  // Pick the node closest to the field center: it lies inside the triangle
-  // of three spread-out anchors.
-  std::size_t center_node = 0;
-  for (std::size_t i = 0; i < net_.num_nodes(); ++i) {
-    if (distance(net_.position(i), {300, 300}) <
-        distance(net_.position(center_node), {300, 300})) {
-      center_node = i;
-    }
-  }
-  EXPECT_TRUE(apit.approximate_point_in_triangle(net_, center_node, {75, 75},
-                                                 {525, 75}, {300, 525}));
 }
 
 }  // namespace

@@ -10,9 +10,9 @@
 #include "geom/vec2.h"
 #include "loc/beaconless_mle.h"
 #include "rng/rng.h"
-#include "sim/experiment.h"
 #include "sim/pipeline.h"
 #include "stats/quantile.h"
+#include "support/experiment_drivers.h"
 
 namespace lad {
 namespace {

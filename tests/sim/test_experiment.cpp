@@ -1,4 +1,4 @@
-#include "sim/experiment.h"
+#include "support/experiment_drivers.h"
 
 #include <gtest/gtest.h>
 
@@ -93,21 +93,6 @@ TEST(DrSweep, RejectsBadFpBudget) {
   EXPECT_THROW(run_dr_sweep(p, tn_factory(), MetricKind::kDiff,
                             AttackClass::kDecBounded, {100.0}, {0.1}, 0.0),
                AssertionError);
-}
-
-TEST(DensitySweep, ProducesPointsPerDensityAndError) {
-  PipelineConfig cfg = small_config();
-  cfg.networks = 2;
-  cfg.victims_per_network = 40;
-  const auto points = run_density_sweep(cfg, {30, 80}, MetricKind::kDiff,
-                                        AttackClass::kDecBounded, {120.0},
-                                        {0.1}, 0.01);
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_EQ(points[0].nodes_per_group, 30);
-  EXPECT_EQ(points[1].nodes_per_group, 80);
-  // The localization scheme (MLE) improves with density - the paper's
-  // Fig. 9 mechanism.
-  EXPECT_GT(points[0].mean_loc_error, points[1].mean_loc_error);
 }
 
 }  // namespace

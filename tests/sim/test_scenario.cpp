@@ -11,8 +11,8 @@
 #include "core/metric.h"
 #include "core/serialize.h"
 #include "core/trainer.h"
-#include "sim/experiment.h"
 #include "sim/pipeline.h"
+#include "support/experiment_drivers.h"
 #include "util/assert.h"
 #include "util/csv.h"
 #include "util/flags.h"
