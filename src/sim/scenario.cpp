@@ -6,6 +6,7 @@
 #include "sim/scenario.h"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -93,6 +94,7 @@ GroupThresholdMode group_threshold_mode_from_name(const std::string& name) {
 }
 
 // The localizer registry's names, without a pipeline (spec parsing).
+// truth-noise takes an optional finite sigma >= 0.
 bool is_known_localizer(const std::string& name) {
   if (name == "beaconless-mle" || name == "weighted-centroid" ||
       name == "dv-hop" || name == "amorphous") {
@@ -101,8 +103,9 @@ bool is_known_localizer(const std::string& name) {
   if (name == "truth-noise" || starts_with(name, "truth-noise:")) {
     if (name == "truth-noise") return true;
     try {
-      return parse_double(name.substr(std::string("truth-noise:").size())) >=
-             0.0;
+      const double sigma =
+          parse_double(name.substr(std::string("truth-noise:").size()));
+      return std::isfinite(sigma) && sigma >= 0.0;
     } catch (const AssertionError&) {
       return false;
     }
@@ -267,7 +270,10 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
     LAD_REQUIRE_MSG(!spec.localizers.empty(),
                     "sweep list 'localizers' is empty");
     for (const std::string& n : spec.localizers) {
-      LAD_REQUIRE_MSG(is_known_localizer(n), "unknown localizer '" << n << "'");
+      LAD_REQUIRE_MSG(is_known_localizer(n),
+                      "[sweep] localizers: unknown localizer '"
+                          << n << "' (truth-noise:<sigma> needs a finite "
+                                  "sigma >= 0)");
     }
     if (s->has("metrics")) spec.metrics = parse_metrics(*s);
     LAD_REQUIRE_MSG(!spec.metrics.empty(), "sweep list 'metrics' is empty");
@@ -275,8 +281,15 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
     LAD_REQUIRE_MSG(!spec.attacks.empty(), "sweep list 'attacks' is empty");
     spec.damages = s->get_double_list("damages", spec.damages);
     require_non_empty(spec.damages, "damages");
+    for (double d : spec.damages) {
+      LAD_REQUIRE_MSG(d >= 0, "[sweep] damages must be >= 0, got " << d);
+    }
     spec.compromised = s->get_double_list("compromised", spec.compromised);
     require_non_empty(spec.compromised, "compromised");
+    for (double x : spec.compromised) {
+      LAD_REQUIRE_MSG(x >= 0 && x <= 1,
+                      "[sweep] compromised must be in [0,1], got " << x);
+    }
     spec.densities = to_int_vector(s->get_int_list("densities", {}));
     spec.actual_sigmas = s->get_double_list("actual_sigmas", spec.actual_sigmas);
     require_non_empty(spec.actual_sigmas, "actual_sigmas");
@@ -353,6 +366,8 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
     spec.echo_grid_x = get_positive_int(*e, "grid_x", spec.echo_grid_x);
     spec.echo_grid_y = get_positive_int(*e, "grid_y", spec.echo_grid_y);
     spec.echo_range = e->get_double("range", spec.echo_range);
+    LAD_REQUIRE_MSG(spec.echo_range > 0,
+                    "[echo] range must be > 0, got " << spec.echo_range);
     spec.train_samples =
         get_positive_int(*e, "train_samples", spec.train_samples);
   }
@@ -382,6 +397,10 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
     spec.fudges = t->get_double_list("fudges", spec.fudges);
     for (double tau : spec.taus) {
       LAD_REQUIRE_MSG(tau > 0 && tau < 1, "[threshold] taus must be in (0,1)");
+    }
+    for (double fudge : spec.fudges) {
+      LAD_REQUIRE_MSG(fudge > 0,
+                      "[threshold] fudges must be > 0, got " << fudge);
     }
   }
   if (const KvConfig::Section* p = config.find_section("pdf")) {

@@ -267,6 +267,51 @@ TEST(ScenarioSpec, KeysOnlyOtherKindsReadAreRejectedByName) {
                AssertionError);
 }
 
+// Out-of-range values are rejected at parse time, before any work item
+// runs, each by an error that names its key.
+TEST(ScenarioSpec, OutOfRangeValuesAreRejectedByKey) {
+  const auto parse = [](const std::string& kind, const std::string& body) {
+    return ScenarioSpec::from_config(KvConfig::parse_string(
+        "[scenario]\nname = x\nexperiment = " + kind + "\n" + body));
+  };
+  struct Row {
+    const char* kind;
+    const char* body;
+    const char* message;
+  };
+  const std::vector<Row> rows = {
+      {"echo-comparison", "[sweep]\ndamages = -80\n",
+       "[sweep] damages must be >= 0, got -80"},
+      {"echo-comparison", "[sweep]\ncompromised = 1.5\n",
+       "[sweep] compromised must be in [0,1], got 1.5"},
+      {"threshold-sensitivity", "[threshold]\nfudges = -1, 0\n",
+       "[threshold] fudges must be > 0, got -1"},
+      {"dr-sweep", "[sweep]\nlocalizers = truth-noise:inf\n",
+       "[sweep] localizers: unknown localizer 'truth-noise:inf'"},
+      {"echo-comparison", "[echo]\nrange = -5\n",
+       "[echo] range must be > 0, got -5"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.body);
+    try {
+      parse(row.kind, row.body);
+      ADD_FAILURE() << "parsed";
+    } catch (const AssertionError& e) {
+      EXPECT_NE(std::string(e.what()).find(row.message), std::string::npos)
+          << e.what();
+    }
+  }
+  // The edges of each range stay valid.
+  EXPECT_NO_THROW(parse("echo-comparison",
+                        "[sweep]\ndamages = 0\ncompromised = 0\n"
+                        "[echo]\nrange = 0.5\n"));
+  EXPECT_NO_THROW(parse("dr-sweep",
+                        "[sweep]\ncompromised = 0, 1\n"
+                        "localizers = truth-noise:0, truth-noise\n"));
+  EXPECT_NO_THROW(
+      parse("threshold-sensitivity", "[threshold]\nfudges = 0.01\n"));
+}
+
 TEST(ScenarioSpec, QuickOverridesApply) {
   ScenarioSpec spec = ScenarioSpec::from_config(KvConfig::parse_string(
       "[scenario]\nname = x\nexperiment = density-sweep\n"
