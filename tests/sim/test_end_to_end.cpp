@@ -12,7 +12,7 @@
 #include "rng/rng.h"
 #include "sim/pipeline.h"
 #include "stats/quantile.h"
-#include "support/experiment_drivers.h"
+#include "support/experiment_oracle.h"
 
 namespace lad {
 namespace {

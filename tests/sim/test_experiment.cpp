@@ -1,4 +1,4 @@
-#include "support/experiment_drivers.h"
+#include "support/experiment_oracle.h"
 
 #include <gtest/gtest.h>
 

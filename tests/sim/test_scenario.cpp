@@ -12,7 +12,7 @@
 #include "core/serialize.h"
 #include "core/trainer.h"
 #include "sim/pipeline.h"
-#include "support/experiment_drivers.h"
+#include "support/experiment_oracle.h"
 #include "util/assert.h"
 #include "util/csv.h"
 #include "util/flags.h"

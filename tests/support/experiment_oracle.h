@@ -1,4 +1,4 @@
-// The direct experiment drivers of Figs. 4-8, kept as an independent
+// The direct experiment runners of Figs. 4-8, kept as an independent
 // oracle for the scenario runner: the end-to-end paper-claim tests and
 // ScenarioRunner.DrSweepMatchesTheDirectEntryPoint compare against them.
 //
