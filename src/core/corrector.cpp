@@ -126,10 +126,13 @@ CorrectionResult LocationCorrector::correct(const Observation& obs) const {
   const double pitch =
       cfg.field_side / (2.0 * std::max(cfg.grid_nx, cfg.grid_ny));
   const auto objective = [&](Vec2 theta) { return robust_ll(theta); };
+  // One memo for every start: searches from different starts that climb
+  // the same bump meet the same points, and each is scored once.
+  std::vector<SearchResult> scored;
   SearchResult best{{}, -std::numeric_limits<double>::infinity()};
   for (const Vec2& seed : starts) {
-    const SearchResult found =
-        pattern_search(field, field.clamp(seed), pitch, tol_meters_, objective);
+    const SearchResult found = pattern_search(
+        field, field.clamp(seed), pitch, tol_meters_, objective, scored);
     if (found.ll > best.ll) best = found;
   }
 

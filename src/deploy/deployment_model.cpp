@@ -131,6 +131,11 @@ double DeploymentModel::pdf(int group, Vec2 p) const {
 
 ExpectedObservation DeploymentModel::expected_observation(
     Vec2 le, const GzTable& gz) const {
+  // A NaN distance would reach the g(z) table's float-to-index cast.
+  LAD_REQUIRE_MSG(std::isfinite(le.x),
+                  "claimed location x = " << le.x << " is not finite");
+  LAD_REQUIRE_MSG(std::isfinite(le.y),
+                  "claimed location y = " << le.y << " is not finite");
   ExpectedObservation mu(static_cast<std::size_t>(num_groups()), 0.0);
   const double m = static_cast<double>(config_.nodes_per_group);
   for (int g = 0; g < num_groups(); ++g) {

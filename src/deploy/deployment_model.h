@@ -64,6 +64,8 @@ class DeploymentModel {
   double pdf(int group, Vec2 p) const;
 
   /// Expected observation at location le (Eq. 2): mu_i = m * g_i(le).
+  /// Every metric's mu comes from here, so a non-finite coordinate of le
+  /// is rejected here, by name.
   ExpectedObservation expected_observation(Vec2 le, const GzTable& gz) const;
 
   /// Expected total neighborhood size at le: sum_i mu_i.

@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 
-#include "geom/vec2.h"
 #include "stats/interp.h"
 #include "util/assert.h"
 #include "util/latched_cache.h"
@@ -41,15 +40,6 @@ const InterpTable& sampled_table(const GzParams& params, int omega) {
 
 GzTable::GzTable(const GzParams& params, int omega)
     : params_(params), table_(sampled_table(params, omega)) {}
-
-double GzTable::operator()(double z) const {
-  if (z >= table_.hi()) return 0.0;
-  return table_(z < 0 ? 0.0 : z);
-}
-
-double GzTable::at(Vec2 theta, Vec2 deployment_point) const {
-  return (*this)(distance(theta, deployment_point));
-}
 
 double GzTable::max_abs_error(int probes) const {
   return table_.max_abs_error(

@@ -34,12 +34,18 @@ class GzTable {
   /// parameters (see bench/tab_gz_accuracy).
   explicit GzTable(const GzParams& params, int omega = 256);
 
-  /// g at scalar distance z (constant-time lookup).
-  double operator()(double z) const;
+  /// g at scalar distance z (constant-time lookup).  This and at() are
+  /// inline so the likelihood kernel's group loop pays no call for them.
+  double operator()(double z) const {
+    if (z >= table_.hi()) return 0.0;
+    return table_(z < 0 ? 0.0 : z);
+  }
 
   /// g_i(theta): probability that a node of the group deployed at
   /// `deployment_point` lands in the radio neighborhood of `theta`.
-  double at(Vec2 theta, Vec2 deployment_point) const;
+  double at(Vec2 theta, Vec2 deployment_point) const {
+    return (*this)(distance(theta, deployment_point));
+  }
 
   const GzParams& params() const { return params_; }
   int omega() const { return table_.omega(); }

@@ -85,13 +85,13 @@ double BinomialLikelihood::Bound::term(std::size_t group, Vec2 theta) const {
 
 SearchResult pattern_search(const Aabb& field, Vec2 start, double pitch,
                             double tol,
-                            const std::function<double(Vec2)>& objective) {
+                            const std::function<double(Vec2)>& objective,
+                            std::vector<SearchResult>& scored) {
   static constexpr std::array<Vec2, 8> kDirs = {
       Vec2{1, 0},  Vec2{-1, 0}, Vec2{0, 1},  Vec2{0, -1},
       Vec2{1, 1},  Vec2{1, -1}, Vec2{-1, 1}, Vec2{-1, -1}};
-  // Every point scored so far, newest last.  Most repeats are the old
-  // centre and its neighbours, so the scan starts from the newest.
-  std::vector<SearchResult> scored;
+  // Most repeats are the old centre and its neighbours, so the scan starts
+  // from the newest.
   const auto score = [&](Vec2 at) {
     for (auto it = scored.rbegin(); it != scored.rend(); ++it) {
       if (it->at == at) return it->ll;

@@ -108,12 +108,16 @@ struct SearchResult {
 /// strict improvement as soon as it is found; a round without one halves
 /// the pitch, and the search stops once the pitch drops below `tol`.
 /// Candidates are clamped into the field; `start` is used as given.
-/// Memoised: a point whose coordinates compare equal to one already scored
-/// (so +0 and -0 are one point) reuses that value instead of calling
-/// `objective` again, which the stencil does after every move.  Returns the
-/// final centre and its value.
+/// Memoised through `scored`, every point scored so far, newest last: a
+/// point whose coordinates compare equal to one in it (so +0 and -0 are one
+/// point) reuses that value instead of calling `objective` again, which the
+/// stencil does after every move.  Searches of one objective may share one
+/// `scored` (a multi-start search passes the same vector to every start),
+/// so no point is scored twice across them; it must never carry points of
+/// another objective.  Returns the final centre and its value.
 SearchResult pattern_search(const Aabb& field, Vec2 start, double pitch,
                             double tol,
-                            const std::function<double(Vec2)>& objective);
+                            const std::function<double(Vec2)>& objective,
+                            std::vector<SearchResult>& scored);
 
 }  // namespace lad

@@ -3,31 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "geom/vec2.h"
 #include "util/assert.h"
 
 namespace lad {
-
-double signed_area2(Vec2 a, Vec2 b, Vec2 c) {
-  return (b - a).cross(c - a);
-}
-
-bool point_in_triangle(Vec2 p, Vec2 a, Vec2 b, Vec2 c) {
-  const double d1 = signed_area2(p, a, b);
-  const double d2 = signed_area2(p, b, c);
-  const double d3 = signed_area2(p, c, a);
-  const bool has_neg = (d1 < 0) || (d2 < 0) || (d3 < 0);
-  const bool has_pos = (d1 > 0) || (d2 > 0) || (d3 > 0);
-  return !(has_neg && has_pos);
-}
-
-double point_segment_distance(Vec2 p, Vec2 a, Vec2 b) {
-  const Vec2 ab = b - a;
-  const double len2 = ab.norm2();
-  if (len2 == 0.0) return distance(p, a);
-  const double t = std::clamp((p - a).dot(ab) / len2, 0.0, 1.0);
-  return distance(p, a + ab * t);
-}
 
 double circle_intersection_area(double d, double r1, double r2) {
   LAD_REQUIRE_MSG(d >= 0 && r1 >= 0 && r2 >= 0,

@@ -1,21 +1,9 @@
-// Triangle and segment predicates, and the disk geometry behind g(z):
-// arc_half_angle is Theorem 1's cos^{-1} term, and circle-circle
-// intersection area has a closed form we check the Theorem-1 integral
-// against.
+// The disk geometry behind g(z): arc_half_angle is Theorem 1's cos^{-1}
+// term, and circle-circle intersection area has a closed form we check the
+// Theorem-1 integral against.
 #pragma once
 
-#include "geom/vec2.h"
-
 namespace lad {
-
-/// Signed twice-area of triangle (a, b, c); >0 when counter-clockwise.
-double signed_area2(Vec2 a, Vec2 b, Vec2 c);
-
-/// True if p lies inside or on the triangle (a, b, c), any orientation.
-bool point_in_triangle(Vec2 p, Vec2 a, Vec2 b, Vec2 c);
-
-/// Distance from point p to segment [a, b].
-double point_segment_distance(Vec2 p, Vec2 a, Vec2 b);
 
 /// Area of the intersection of two disks with centers distance d apart and
 /// radii r1, r2.  Handles containment and disjoint cases exactly.

@@ -1,6 +1,7 @@
 #include "loc/beaconless_mle.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "deploy/config.h"
 #include "deploy/deployment_model.h"
@@ -28,10 +29,11 @@ double BeaconlessMleLocalizer::log_likelihood(const Observation& obs,
 Vec2 BeaconlessMleLocalizer::estimate(const Observation& obs) const {
   BinomialLikelihood::Bound loglik = likelihood_.bind(obs);
   const DeploymentConfig& cfg = model_->config();
+  std::vector<SearchResult> scored;
   const SearchResult found = pattern_search(
       cfg.field(), weighted_centroid_estimate(*model_, obs),
       cfg.field_side / (2.0 * std::max(cfg.grid_nx, cfg.grid_ny)),
-      tol_meters_, [&](Vec2 theta) { return loglik(theta); });
+      tol_meters_, [&](Vec2 theta) { return loglik(theta); }, scored);
   return found.at;
 }
 

@@ -27,16 +27,6 @@ InterpTable::InterpTable(std::vector<double> values, double lo, double hi)
   inv_step_ = static_cast<double>(values_.size() - 1) / (hi - lo);
 }
 
-double InterpTable::operator()(double x) const {
-  if (x <= lo_) return values_.front();
-  if (x >= hi_) return values_.back();
-  const double pos = (x - lo_) * inv_step_;
-  std::size_t i = static_cast<std::size_t>(pos);
-  i = std::min(i, values_.size() - 2);
-  const double frac = pos - static_cast<double>(i);
-  return values_[i] + frac * (values_[i + 1] - values_[i]);
-}
-
 double InterpTable::max_abs_error(const std::function<double(double)>& f,
                                   int probes) const {
   LAD_REQUIRE_MSG(probes > 0, "need at least one probe");

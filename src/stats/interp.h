@@ -6,6 +6,8 @@
 // for any sampled 1-D function.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <functional>
 #include <vector>
 
@@ -21,8 +23,17 @@ class InterpTable {
   InterpTable(std::vector<double> values, double lo, double hi);
 
   /// Piecewise-linear evaluation; clamps outside [lo, hi] to the endpoint
-  /// values (g(z) tables saturate at the tails by construction).
-  double operator()(double x) const;
+  /// values (g(z) tables saturate at the tails by construction).  Inline:
+  /// the likelihood kernel calls it once per group per evaluation.
+  double operator()(double x) const {
+    if (x <= lo_) return values_.front();
+    if (x >= hi_) return values_.back();
+    const double pos = (x - lo_) * inv_step_;
+    std::size_t i = static_cast<std::size_t>(pos);
+    i = std::min(i, values_.size() - 2);
+    const double frac = pos - static_cast<double>(i);
+    return values_[i] + frac * (values_[i + 1] - values_[i]);
+  }
 
   double lo() const { return lo_; }
   double hi() const { return hi_; }

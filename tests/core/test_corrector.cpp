@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "attack/adversary.h"
 #include "attack/displacement.h"
@@ -14,8 +19,10 @@
 #include "deploy/config.h"
 #include "deploy/deployment_model.h"
 #include "deploy/gz_table.h"
+#include "deploy/likelihood.h"
 #include "deploy/network.h"
 #include "deploy/observation.h"
+#include "geom/aabb.h"
 #include "geom/vec2.h"
 #include "rng/rng.h"
 #include "stats/running_stats.h"
@@ -35,6 +42,89 @@ DeploymentConfig cfg8() {
   return cfg;
 }
 
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// The scalar reference for LocationCorrector::correct with its default
+// seeds and tolerance: the same starts in the same order, each searched by
+// pattern_search.  With `share_memo` false every start gets a fresh memo,
+// as correct() did before its starts shared one; with it true they share
+// one.  `calls` counts the objective calls either way.
+CorrectionResult reference_correct(const LocationCorrector& corrector,
+                                   const DeploymentModel& model,
+                                   const GzTable& gz, const Observation& obs,
+                                   bool share_memo, long long& calls) {
+  constexpr int kSeeds = 5;
+  constexpr double kTol = 0.5;
+  std::vector<double> caps;
+  for (int g = 0; g < model.num_groups(); ++g) {
+    caps.push_back(corrector.cap_for_group(g));
+  }
+  const BinomialLikelihood kernel(model, gz);
+  BinomialLikelihood::Bound robust_ll = kernel.bind(obs, caps);
+  CorrectionResult result;
+  if (obs.total() == 0) {
+    result.corrected = corrector.max_prior_deployment_point();
+    result.robust_ll = robust_ll(result.corrected);
+    for (int g = 0; g < model.num_groups(); ++g) {
+      result.capped_groups.push_back(g);
+    }
+    return result;
+  }
+
+  std::vector<Vec2> starts;
+  double wx = 0, wy = 0, wt = 0;
+  std::vector<std::pair<int, int>> by_count;  // (count, group)
+  for (std::size_t g = 0; g < obs.num_groups(); ++g) {
+    const Vec2 dp = model.deployment_point(static_cast<int>(g));
+    wx += obs.counts[g] * dp.x;
+    wy += obs.counts[g] * dp.y;
+    wt += obs.counts[g];
+    if (obs.counts[g] > 0) {
+      by_count.emplace_back(obs.counts[g], static_cast<int>(g));
+    }
+  }
+  starts.push_back({wx / wt, wy / wt});
+  std::sort(by_count.rbegin(), by_count.rend());
+  for (int s = 0; s < kSeeds && s < static_cast<int>(by_count.size()); ++s) {
+    starts.push_back(
+        model.deployment_point(by_count[static_cast<std::size_t>(s)].second));
+  }
+
+  const DeploymentConfig& cfg = model.config();
+  const Aabb field = cfg.field();
+  const double pitch =
+      cfg.field_side / (2.0 * std::max(cfg.grid_nx, cfg.grid_ny));
+  const auto objective = [&](Vec2 theta) {
+    ++calls;
+    return robust_ll(theta);
+  };
+  std::vector<SearchResult> shared;
+  SearchResult best{{}, -std::numeric_limits<double>::infinity()};
+  for (const Vec2& seed : starts) {
+    std::vector<SearchResult> own;
+    const SearchResult found =
+        pattern_search(field, field.clamp(seed), pitch, kTol, objective,
+                       share_memo ? shared : own);
+    if (found.ll > best.ll) best = found;
+  }
+  result.corrected = best.at;
+  result.robust_ll = best.ll;
+  for (std::size_t g = 0; g < obs.num_groups(); ++g) {
+    if (robust_ll.term(g, best.at) <= -caps[g]) {
+      result.capped_groups.push_back(static_cast<int>(g));
+    }
+  }
+  return result;
+}
+
+void expect_same_bits(const CorrectionResult& got,
+                      const CorrectionResult& want) {
+  EXPECT_EQ(bits(got.corrected.x), bits(want.corrected.x));
+  EXPECT_EQ(bits(got.corrected.y), bits(want.corrected.y));
+  EXPECT_EQ(bits(got.robust_ll), bits(want.robust_ll));
+  EXPECT_EQ(got.capped_groups, want.capped_groups);
+}
+
 class CorrectorTest : public ::testing::Test {
  protected:
   CorrectorTest()
@@ -49,6 +139,47 @@ class CorrectorTest : public ::testing::Test {
     return node;
   }
 
+  /// The node nearest `target` (which may lie outside the field).
+  std::size_t node_nearest(Vec2 target) const {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < net_.num_nodes(); ++i) {
+      if (distance2(net_.position(i), target) <
+          distance2(net_.position(best), target)) {
+        best = i;
+      }
+    }
+    return best;
+  }
+
+  /// Observations of every kind correct() must handle: benign, Dec-Only
+  /// and Dec-Bounded tainted, corner and edge victims, and all-silent.
+  std::vector<Observation> oracle_batch() {
+    std::vector<Observation> batch;
+    for (int t = 0; t < 8; ++t) batch.push_back(net_.observe(in_field_victim()));
+    for (const AttackClass attack :
+         {AttackClass::kDecOnly, AttackClass::kDecBounded}) {
+      for (int t = 0; t < 8; ++t) {
+        const std::size_t node = in_field_victim();
+        const Observation a = net_.observe(node);
+        const Vec2 le =
+            displaced_location(net_.position(node), 160.0, cfg_.field(), rng_);
+        batch.push_back(greedy_taint(a, model_.expected_observation(le, gz_),
+                                     cfg_.nodes_per_group, MetricKind::kDiff,
+                                     attack, static_cast<int>(0.15 * a.total()))
+                            .tainted);
+      }
+    }
+    const double side = cfg_.field_side;
+    for (const Vec2 target :
+         {Vec2{0, 0}, Vec2{side, 0}, Vec2{0, side}, Vec2{side, side},
+          Vec2{side / 2, 0}, Vec2{0, side / 2}, Vec2{side, side / 3},
+          Vec2{side / 3, side}}) {
+      batch.push_back(net_.observe(node_nearest(target)));
+    }
+    batch.emplace_back(static_cast<std::size_t>(model_.num_groups()));
+    return batch;
+  }
+
   DeploymentConfig cfg_;
   DeploymentModel model_;
   GzTable gz_;
@@ -56,6 +187,54 @@ class CorrectorTest : public ::testing::Test {
   Network net_;
   LocationCorrector corrector_;
 };
+
+// correct() shares one memo across its starts; the reference gives every
+// start its own, as correct() once did.  The memo only skips repeated
+// calls of a pure objective, so the result must not move by one bit - with
+// the base cap and with caps conditioned by a bundle.
+TEST_F(CorrectorTest, SharedMemoMatchesTheFreshMemoReferenceBitForBit) {
+  DetectorSpec spec;
+  spec.metric = MetricKind::kDiff;
+  spec.threshold = 10.0;
+  spec.group_overrides = {
+      {0, 20.0, GroupOverrideSource::kTrained, 50, 4.0, 2.0},
+      {7, 30.0, GroupOverrideSource::kTrained, 50, 6.0, 3.0},
+      {27, 5.0, GroupOverrideSource::kTrained, 50, 1.0, 0.5},
+      {63, 40.0, GroupOverrideSource::kTrained, 50, 8.0, 4.0}};
+  LocationCorrector conditioned(model_, gz_);
+  conditioned.apply_group_spread(make_bundle(model_, 128, {spec}));
+
+  const std::vector<Observation> batch = oracle_batch();
+  for (const LocationCorrector* c : {&corrector_, &conditioned}) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      SCOPED_TRACE("observation " + std::to_string(i));
+      long long calls = 0;
+      expect_same_bits(c->correct(batch[i]),
+                       reference_correct(*c, model_, gz_, batch[i],
+                                         /*share_memo=*/false, calls));
+    }
+  }
+}
+
+// A deterministic work counter in the style of MleTest.SearchWorkIsPinned:
+// the exact number of robust-likelihood evaluations a fixed-seed batch of
+// corrections makes through correct()'s search, with its one shared memo
+// and, for comparison, with a fresh memo per start.  Any change to the
+// starts or the search that scores more (or fewer) points moves them.
+TEST_F(CorrectorTest, SearchWorkIsPinned) {
+  long long shared_calls = 0;
+  long long fresh_calls = 0;
+  for (const Observation& obs : oracle_batch()) {
+    const CorrectionResult want = corrector_.correct(obs);
+    expect_same_bits(reference_correct(corrector_, model_, gz_, obs,
+                                       /*share_memo=*/true, shared_calls),
+                     want);
+    reference_correct(corrector_, model_, gz_, obs, /*share_memo=*/false,
+                      fresh_calls);
+  }
+  EXPECT_EQ(shared_calls, 3449);
+  EXPECT_EQ(fresh_calls, 8518);
+}
 
 TEST_F(CorrectorTest, BenignObservationsCorrectToTruth) {
   RunningStats err;

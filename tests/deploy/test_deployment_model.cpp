@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "deploy/config.h"
 #include "deploy/gz_table.h"
@@ -133,6 +135,31 @@ TEST(DeploymentModel, ExpectedObservationScalesWithM) {
   EXPECT_NEAR(model.expected_neighbors(le, gz), total, 1e-9);
   // Nearby groups dominate: group 1 at (300,150) is closest to le.
   EXPECT_GT(mu[1], mu[5]);
+}
+
+// A non-finite claimed location has no expected observation: it used to
+// reach the g(z) table's float-to-index cast and score as NaN, which no
+// threshold test flags.  The error names the bad coordinate.
+TEST(DeploymentModel, ExpectedObservationRejectsANonFiniteLocation) {
+  const DeploymentConfig cfg = small_config();
+  const DeploymentModel model(cfg);
+  const GzTable gz({cfg.radio_range, cfg.sigma});
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    for (const bool in_x : {true, false}) {
+      const Vec2 le = in_x ? Vec2{bad, 200} : Vec2{250, bad};
+      try {
+        model.expected_observation(le, gz);
+        ADD_FAILURE() << "accepted (" << le.x << ", " << le.y << ")";
+      } catch (const AssertionError& e) {
+        const std::string want =
+            std::string("claimed location ") + (in_x ? "x" : "y") + " = ";
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 }  // namespace

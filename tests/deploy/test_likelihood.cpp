@@ -9,7 +9,7 @@
 //
 // The search: the memo-free stencil loop it replaced.  The memoised search
 // must reach the same point with the same value, and never score a point
-// twice.
+// twice, also when several searches share one memo.
 #include "deploy/likelihood.h"
 
 #include <gtest/gtest.h>
@@ -254,8 +254,9 @@ std::size_t expect_same_search(const Aabb& field, Vec2 start, double pitch,
                                double tol,
                                const std::function<double(Vec2)>& objective) {
   Recorder rec{objective, {}};
-  const SearchResult got =
-      pattern_search(field, start, pitch, tol, [&](Vec2 at) { return rec(at); });
+  std::vector<SearchResult> memo;
+  const SearchResult got = pattern_search(
+      field, start, pitch, tol, [&](Vec2 at) { return rec(at); }, memo);
   const SearchResult want =
       reference_search(field, start, pitch, tol, objective);
   EXPECT_EQ(got.at, want.at) << "start=(" << start.x << ", " << start.y
@@ -269,11 +270,14 @@ TEST(PatternSearch, ClimbsToTheMaximumWithinTolerance) {
   const Aabb field = Aabb::square(100.0);
   const Vec2 peak{37.3, 81.9};
   int evals = 0;
+  std::vector<SearchResult> memo;
   const SearchResult found = pattern_search(
-      field, {5, 5}, 12.5, 0.25, [&](Vec2 p) {
+      field, {5, 5}, 12.5, 0.25,
+      [&](Vec2 p) {
         ++evals;
         return -distance(p, peak);
-      });
+      },
+      memo);
   EXPECT_LT(distance(found.at, peak), 0.5);
   EXPECT_EQ(found.ll, -distance(found.at, peak));
   EXPECT_GT(evals, 9);
@@ -282,16 +286,18 @@ TEST(PatternSearch, ClimbsToTheMaximumWithinTolerance) {
 TEST(PatternSearch, StaysInsideTheFieldAndKeepsAStartThatWins) {
   const Aabb field = Aabb::square(100.0);
   // The maximum lies outside the field: the search ends on its edge.
+  std::vector<SearchResult> edge_memo;
   const SearchResult edge =
       pattern_search(field, {50, 50}, 10.0, 0.5,
-                     [](Vec2 p) { return p.x + p.y; });
+                     [](Vec2 p) { return p.x + p.y; }, edge_memo);
   EXPECT_DOUBLE_EQ(edge.at.x, 100.0);
   EXPECT_DOUBLE_EQ(edge.at.y, 100.0);
   // Ties are not improvements: a flat objective never leaves the start,
   // even one outside the field.
   const Vec2 start{-20, 130};
-  const SearchResult flat =
-      pattern_search(field, start, 10.0, 0.5, [](Vec2) { return 1.0; });
+  std::vector<SearchResult> flat_memo;
+  const SearchResult flat = pattern_search(
+      field, start, 10.0, 0.5, [](Vec2) { return 1.0; }, flat_memo);
   EXPECT_EQ(flat.at, start);
   EXPECT_EQ(flat.ll, 1.0);
 }
@@ -318,6 +324,55 @@ TEST(PatternSearch, MemoMatchesTheReferenceOnPlateausAndClampedOptima) {
       }
     }
   }
+}
+
+// Several starts of one objective share one memo, as the corrector's do.
+// Each search still reaches the reference's point and value, and the
+// objective sees every point any of the searches visits exactly once: the
+// shared calls are the union of what separate memos would score.
+TEST(PatternSearch, StartsSharingOneMemoScoreEachDistinctPointOnce) {
+  const Aabb field = Aabb::square(100.0);
+  // Two bumps, so some starts climb the same hill and others do not.
+  const auto objective = [](Vec2 p) {
+    return std::max(-distance(p, {30, 70}), -distance(p, {80, 20}) - 5.0);
+  };
+  const std::vector<Vec2> starts = {{50, 50}, {25, 75}, {75, 25},
+                                    {0, 0},   {100, 100}, {50, 50}};
+  Recorder shared{objective, {}};
+  std::vector<SearchResult> memo;
+  std::vector<Vec2> distinct;  // the union over separate searches
+  std::size_t separate_calls = 0;
+  for (const Vec2 start : starts) {
+    const SearchResult got = pattern_search(
+        field, start, 12.5, 0.5, [&](Vec2 at) { return shared(at); }, memo);
+    const SearchResult want =
+        reference_search(field, start, 12.5, 0.5, objective);
+    EXPECT_EQ(got.at, want.at);
+    EXPECT_EQ(bits(got.ll), bits(want.ll));
+
+    Recorder own{objective, {}};
+    std::vector<SearchResult> own_memo;
+    pattern_search(
+        field, start, 12.5, 0.5, [&](Vec2 at) { return own(at); }, own_memo);
+    separate_calls += own.seen.size();
+    for (const Vec2 at : own.seen) {
+      if (std::find(distinct.begin(), distinct.end(), at) == distinct.end()) {
+        distinct.push_back(at);
+      }
+    }
+  }
+  EXPECT_FALSE(shared.any_repeat());
+  EXPECT_EQ(shared.seen.size(), distinct.size());
+  for (const Vec2 at : distinct) {
+    EXPECT_NE(std::find(shared.seen.begin(), shared.seen.end(), at),
+              shared.seen.end());
+  }
+  // The memo holds exactly the scored points, in the order scored.
+  ASSERT_EQ(memo.size(), shared.seen.size());
+  for (std::size_t i = 0; i < memo.size(); ++i) {
+    EXPECT_EQ(memo[i].at, shared.seen[i]);
+  }
+  EXPECT_LT(shared.seen.size(), separate_calls);
 }
 
 // The MLE's objective on 200 real observations, each searched from 40 m

@@ -4,41 +4,10 @@
 
 #include <cmath>
 
-#include "geom/vec2.h"
 #include "util/assert.h"
 
 namespace lad {
 namespace {
-
-TEST(SignedArea, OrientationSigns) {
-  EXPECT_GT(signed_area2({0, 0}, {1, 0}, {0, 1}), 0.0);  // CCW
-  EXPECT_LT(signed_area2({0, 0}, {0, 1}, {1, 0}), 0.0);  // CW
-  EXPECT_DOUBLE_EQ(signed_area2({0, 0}, {1, 1}, {2, 2}), 0.0);  // collinear
-}
-
-TEST(PointInTriangle, InsideOutsideBoundary) {
-  const Vec2 a{0, 0}, b{4, 0}, c{0, 4};
-  EXPECT_TRUE(point_in_triangle({1, 1}, a, b, c));
-  EXPECT_FALSE(point_in_triangle({3, 3}, a, b, c));
-  EXPECT_TRUE(point_in_triangle({2, 0}, a, b, c));   // on edge
-  EXPECT_TRUE(point_in_triangle({0, 0}, a, b, c));   // on vertex
-  EXPECT_FALSE(point_in_triangle({-0.01, 0}, a, b, c));
-}
-
-TEST(PointInTriangle, OrientationIndependent) {
-  // Clockwise vertex order must give the same answers.
-  const Vec2 a{0, 0}, b{0, 4}, c{4, 0};
-  EXPECT_TRUE(point_in_triangle({1, 1}, a, b, c));
-  EXPECT_FALSE(point_in_triangle({3, 3}, a, b, c));
-}
-
-TEST(PointSegmentDistance, ProjectionCases) {
-  EXPECT_DOUBLE_EQ(point_segment_distance({0, 1}, {-1, 0}, {1, 0}), 1.0);
-  // Beyond the endpoints the distance is to the endpoint.
-  EXPECT_DOUBLE_EQ(point_segment_distance({3, 4}, {-1, 0}, {0, 0}), 5.0);
-  // Degenerate segment.
-  EXPECT_DOUBLE_EQ(point_segment_distance({3, 4}, {0, 0}, {0, 0}), 5.0);
-}
 
 TEST(CircleIntersectionArea, DisjointAndContainment) {
   EXPECT_DOUBLE_EQ(circle_intersection_area(10.0, 3.0, 3.0), 0.0);

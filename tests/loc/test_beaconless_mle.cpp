@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "util/assert.h"
 
@@ -82,12 +83,14 @@ TEST_F(MleTest, SearchWorkIsPinned) {
   for (std::size_t i = 0; i < 50; ++i) {
     const Observation obs = net_.observe(i * 61 % net_.num_nodes());
     BinomialLikelihood::Bound loglik = kernel.bind(obs);
+    std::vector<SearchResult> memo;
     const SearchResult found = pattern_search(
         cfg_.field(), weighted_centroid_estimate(model_, obs), pitch, 0.5,
         [&](Vec2 theta) {
           ++calls;
           return loglik(theta);
-        });
+        },
+        memo);
     EXPECT_EQ(found.at, mle_.estimate(obs));
     EXPECT_EQ(found.ll, mle_.log_likelihood(obs, found.at));
   }

@@ -39,6 +39,13 @@ grep -q "groups:       100 (m = 40 nodes each)" <<<"$output" || fail "inspect: w
 run check 3 "$cli" check --detector "$workdir/detector.lad" --le-x 500 --le-y 500
 grep -q "ANOMALY" <<<"$output" || fail "check: all-zero observation not flagged"
 
+# A non-finite claimed location is an error that names the coordinate, not
+# a NaN score that passes the threshold test.
+run check_nan 1 "$cli" check --detector "$workdir/detector.lad" \
+  --le-x nan --le-y 500 --obs 44:30,45:20
+grep -q "claimed location x = nan is not finite" <<<"$output" ||
+  fail "check: NaN claimed location not rejected by name"
+
 run simulate 0 "$cli" simulate --detector "$workdir/detector.lad" \
   --d 120 --x 0.1 --trials 20 --seed 7
 grep -q "benign false positives:" <<<"$output" || fail "simulate: missing benign line"
