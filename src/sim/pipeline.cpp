@@ -161,7 +161,7 @@ std::vector<std::unique_ptr<Localizer>> Pipeline::benign_localizers(
 
 std::map<MetricKind, std::vector<double>> Pipeline::benign_scores(
     const LocalizerFactory& factory, const std::vector<MetricKind>& metrics,
-    std::vector<int>* victim_groups) {
+    std::vector<int>* victim_groups, double* mean_loc_error) {
   const std::size_t nnet = networks_.size();
   const std::size_t k = static_cast<std::size_t>(config_.victims_per_network);
   const int m = config_.deploy.nodes_per_group;
@@ -173,6 +173,8 @@ std::map<MetricKind, std::vector<double>> Pipeline::benign_scores(
   std::vector<std::vector<double>> scores(
       metrics.size(), std::vector<double>(nnet * k, 0.0));
   if (victim_groups != nullptr) victim_groups->assign(nnet * k, 0);
+  // |Le - La| per sample, reduced below once every slot is written.
+  std::vector<double> loc_errors(mean_loc_error != nullptr ? nnet * k : 0);
 
   std::vector<std::size_t> victims;
   std::vector<std::unique_ptr<Localizer>> localizers =
@@ -186,15 +188,18 @@ std::map<MetricKind, std::vector<double>> Pipeline::benign_scores(
                          victims.data() + ni * k + v_lo, v_hi - v_lo),
                      batch);
     for (std::size_t v = v_lo; v < v_hi; ++v) {
+      const std::size_t node = victims[ni * k + v];
       const Observation obs = batch.to_observation(v - v_lo);
-      const Vec2 le = localizer.localize(net, victims[ni * k + v]);
+      const Vec2 le = localizer.localize(net, node);
       const ExpectedObservation mu = model_.expected_observation(le, gz_);
       for (std::size_t mi = 0; mi < metric_impls.size(); ++mi) {
         scores[mi][ni * k + v] = metric_impls[mi]->score(obs, mu, m);
       }
       if (victim_groups != nullptr) {
-        (*victim_groups)[ni * k + v] =
-            model_.nearest_group(net.position(victims[ni * k + v]));
+        (*victim_groups)[ni * k + v] = model_.nearest_group(net.position(node));
+      }
+      if (mean_loc_error != nullptr) {
+        loc_errors[ni * k + v] = distance(le, net.position(node));
       }
     }
   };
@@ -207,6 +212,19 @@ std::map<MetricKind, std::vector<double>> Pipeline::benign_scores(
     // fan-out so each network's victims are localized in order.
     parallel_for_items(
         nnet, [&](std::size_t ni) { score_span(ni, 0, k); }, config_.threads);
+  }
+
+  if (mean_loc_error != nullptr) {
+    // Reduce in the historical order (victims within a network, then
+    // networks) so the float-addition order — and hence the reported
+    // mean — is the sequential pass's at any thread count.
+    double sum = 0.0;
+    for (std::size_t ni = 0; ni < nnet; ++ni) {
+      double total = 0.0;
+      for (std::size_t v = 0; v < k; ++v) total += loc_errors[ni * k + v];
+      sum += total / static_cast<double>(k);
+    }
+    *mean_loc_error = sum / static_cast<double>(nnet);
   }
 
   std::map<MetricKind, std::vector<double>> out;
@@ -395,46 +413,6 @@ DetectorBundle Pipeline::train_bundle(const LocalizerFactory& factory,
     specs.push_back(std::move(spec));
   }
   return make_bundle(model_, config_.gz_omega, std::move(specs));
-}
-
-double Pipeline::mean_localization_error(const LocalizerFactory& factory) {
-  const std::size_t nnet = networks_.size();
-  const std::size_t k = static_cast<std::size_t>(config_.victims_per_network);
-
-  // Same sub-stream as the benign pass, so the measured victims match the
-  // scored ones.
-  std::vector<std::size_t> victims;
-  std::vector<std::unique_ptr<Localizer>> localizers =
-      benign_localizers(factory, victims);
-
-  std::vector<double> dists(nnet * k, 0.0);
-  auto measure_span = [&](std::size_t ni, std::size_t v_lo, std::size_t v_hi) {
-    const Network& net = *networks_[ni];
-    Localizer& localizer = *localizers[ni];
-    for (std::size_t v = v_lo; v < v_hi; ++v) {
-      const std::size_t node = victims[ni * k + v];
-      dists[ni * k + v] = distance(localizer.localize(net, node),
-                                   net.position(node));
-    }
-  };
-  if (concurrent_localize_all(localizers)) {
-    for_each_victim_span(nnet, k, config_.threads, measure_span);
-  } else {
-    parallel_for_items(
-        nnet, [&](std::size_t ni) { measure_span(ni, 0, k); },
-        config_.threads);
-  }
-
-  // Reduce in the historical order (victims within a network, then
-  // networks) so the float-addition order — and hence the reported mean —
-  // is bit-identical to the sequential pass.
-  double sum = 0.0;
-  for (std::size_t ni = 0; ni < nnet; ++ni) {
-    double total = 0.0;
-    for (std::size_t v = 0; v < k; ++v) total += dists[ni * k + v];
-    sum += total / static_cast<double>(k);
-  }
-  return sum / static_cast<double>(nnet);
 }
 
 }  // namespace lad

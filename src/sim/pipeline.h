@@ -106,11 +106,16 @@ class Pipeline {
   /// localization estimate is shared across metrics, as in training).
   /// `victim_groups` (optional) receives each sample's victim group - the
   /// knowledge model's nearest deployment group to the victim's true
-  /// position - index-aligned with every metric's score vector.  Filling
-  /// it never perturbs the rng stream, so scores are identical either way.
+  /// position - index-aligned with every metric's score vector.
+  /// `mean_loc_error` (optional) receives the scheme's mean localization
+  /// error |Le - La| over the pass: the mean per network, then the mean of
+  /// those (a diagnostic; drives the Fig. 9 density discussion).  Filling
+  /// either never perturbs the rng stream, so scores are identical either
+  /// way.
   std::map<MetricKind, std::vector<double>> benign_scores(
       const LocalizerFactory& factory, const std::vector<MetricKind>& metrics,
-      std::vector<int>* victim_groups = nullptr);
+      std::vector<int>* victim_groups = nullptr,
+      double* mean_loc_error = nullptr);
 
   /// Attacked score samples for one attack specification.  As in
   /// benign_scores, `victim_groups` optionally receives the per-sample
@@ -124,10 +129,6 @@ class Pipeline {
   /// needs: an attacker commits to one metric, the defense runs several.
   std::map<MetricKind, std::vector<double>> attack_scores_cross(
       const AttackSpec& spec, const std::vector<MetricKind>& scorers);
-
-  /// Mean localization error of a scheme over the benign pass (diagnostic;
-  /// drives the Fig. 9 density discussion).
-  double mean_localization_error(const LocalizerFactory& factory);
 
   /// Trains one detector section per metric on a single shared benign pass
   /// (the localization estimate is shared across metrics, as in training)
@@ -148,12 +149,12 @@ class Pipeline {
                               const GroupTrainingSpec& grouped = {});
 
  private:
-  /// The shared sequential rng phase of the benign-side passes: replays
-  /// every network's historical stream order (localizer seed, then the k
-  /// victim draws, filling `victims[ni*k + v]`), builds one localizer per
-  /// network, and runs prepare() in parallel.  After this returns, no pass
-  /// rng remains to be consumed — the per-victim fan-out is free to run
-  /// in any schedule.
+  /// The benign pass's sequential rng phase: replays every network's
+  /// historical stream order (localizer seed, then the k victim draws,
+  /// filling `victims[ni*k + v]`), builds one localizer per network, and
+  /// runs prepare() in parallel.  After this returns, no pass rng remains
+  /// to be consumed — the per-victim fan-out is free to run in any
+  /// schedule.
   std::vector<std::unique_ptr<Localizer>> benign_localizers(
       const LocalizerFactory& factory, std::vector<std::size_t>& victims);
 

@@ -42,12 +42,15 @@ const std::vector<std::string>& common_sections() {
   return sections;
 }
 
+std::string key_name(const KvConfig::Section& s, const std::string& key) {
+  return "[" + s.name() + "] " + key;
+}
+
 int get_positive_int(const KvConfig::Section& s, const std::string& key,
                      long long def) {
   const long long v = s.get_int(key, def);
-  LAD_REQUIRE_MSG(v > 0, "[" << s.name() << "] " << key
-                             << " must be positive, got " << v);
-  return static_cast<int>(v);
+  LAD_REQUIRE_MSG(v > 0, key_name(s, key) << " must be positive, got " << v);
+  return checked_int(v, key_name(s, key));
 }
 
 std::vector<MetricKind> parse_metrics(const KvConfig::Section& s) {
@@ -67,8 +70,15 @@ std::vector<AttackClass> parse_attacks(const KvConfig::Section& s) {
   return out;
 }
 
-std::vector<int> to_int_vector(const std::vector<long long>& v) {
-  return std::vector<int>(v.begin(), v.end());
+std::vector<int> get_int_list(const KvConfig::Section& s,
+                              const std::string& key,
+                              const std::vector<int>& def) {
+  if (!s.has(key)) return def;
+  std::vector<int> out;
+  for (long long v : s.get_int_list(key, {})) {
+    out.push_back(checked_int(v, key_name(s, key)));
+  }
+  return out;
 }
 
 void require_non_empty(const std::vector<double>& v, const char* what) {
@@ -247,7 +257,7 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
     if (q->has("dvhop_trials")) {
       spec.quick.dvhop_trials = get_positive_int(*q, "dvhop_trials", 30);
     }
-    spec.quick.densities = to_int_vector(q->get_int_list("densities", {}));
+    spec.quick.densities = get_int_list(*q, "densities", {});
   }
 
   spec.shapes = {spec.pipeline.shape};
@@ -290,7 +300,7 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
       LAD_REQUIRE_MSG(x >= 0 && x <= 1,
                       "[sweep] compromised must be in [0,1], got " << x);
     }
-    spec.densities = to_int_vector(s->get_int_list("densities", {}));
+    spec.densities = get_int_list(*s, "densities", {});
     spec.actual_sigmas = s->get_double_list("actual_sigmas", spec.actual_sigmas);
     require_non_empty(spec.actual_sigmas, "actual_sigmas");
     spec.jitters = s->get_double_list("jitters", spec.jitters);
@@ -354,7 +364,7 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
     require_non_empty(spec.fp_grid, "fp_grid");
     const long long pts = o->get_int("curve_points", spec.curve_points);
     LAD_REQUIRE_MSG(pts >= 0, "[output] curve_points must be >= 0");
-    spec.curve_points = static_cast<int>(pts);
+    spec.curve_points = checked_int(pts, "[output] curve_points");
     spec.loc_error = o->get_bool("loc_error", spec.loc_error);
   }
 
@@ -373,9 +383,9 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
   }
   spec.omegas = {8, 16, 32, 64, 128, 256, 512, 1024, 4096};
   if (const KvConfig::Section* g = config.find_section("gz")) {
-    spec.omegas = g->get_int_list("omegas", spec.omegas);
+    spec.omegas = get_int_list(*g, "omegas", spec.omegas);
     LAD_REQUIRE_MSG(!spec.omegas.empty(), "sweep list 'omegas' is empty");
-    for (long long omega : spec.omegas) {
+    for (int omega : spec.omegas) {
       LAD_REQUIRE_MSG(omega >= kMinGzOmega, "[gz] omegas must be >= "
                                                 << kMinGzOmega << ", got "
                                                 << omega);
@@ -414,7 +424,7 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
     const long long initial = e->get_int("initial", spec.evolve_initial);
     LAD_REQUIRE_MSG(initial >= 0,
                     "[evolve] initial must be >= 0, got " << initial);
-    spec.evolve_initial = static_cast<int>(initial);
+    spec.evolve_initial = checked_int(initial, "[evolve] initial");
     spec.train_samples =
         get_positive_int(*e, "train_samples", spec.train_samples);
   }
@@ -477,15 +487,15 @@ ScenarioOverrides overrides_from_flags(const Flags& flags) {
   if (flags.has("seed")) {
     o.seed = static_cast<std::uint64_t>(flags.get_int("seed", 0));
   }
-  if (flags.has("m")) o.m = static_cast<int>(flags.get_int("m", 0));
+  if (flags.has("m")) o.m = checked_int(flags.get_int("m", 0), "--m");
   if (flags.has("networks")) {
-    o.networks = static_cast<int>(flags.get_int("networks", 0));
+    o.networks = checked_int(flags.get_int("networks", 0), "--networks");
   }
   if (flags.has("victims")) {
-    o.victims = static_cast<int>(flags.get_int("victims", 0));
+    o.victims = checked_int(flags.get_int("victims", 0), "--victims");
   }
   if (flags.has("threads")) {
-    o.threads = static_cast<int>(flags.get_int("threads", 0));
+    o.threads = checked_int(flags.get_int("threads", 0), "--threads");
   }
   if (flags.has("jobs")) {
     const long long jobs = flags.get_int("jobs", 1);
@@ -493,7 +503,7 @@ ScenarioOverrides overrides_from_flags(const Flags& flags) {
     // computing jobs from a subtraction must see its bug immediately.
     LAD_REQUIRE_MSG(jobs >= 1,
                     "--jobs must be >= 1 (1 = sequential), got " << jobs);
-    o.jobs = static_cast<int>(jobs);
+    o.jobs = checked_int(jobs, "--jobs");
   }
   if (flags.has("r")) o.r = flags.get_double("r", 0.0);
   if (flags.has("sigma")) o.sigma = flags.get_double("sigma", 0.0);
@@ -517,7 +527,8 @@ ShardRange parse_shard(const std::string& text) {
   LAD_REQUIRE_MSG(index >= 0 && index < count,
                   "bad shard '" << text
                                 << "': shard index must be in [0, count)");
-  return ShardRange{static_cast<int>(index), static_cast<int>(count)};
+  const int n = checked_int(count, "bad shard '" + text + "': count");
+  return ShardRange{static_cast<int>(index), n};
 }
 
 std::vector<std::string> write_result_csvs(const ScenarioResult& result,

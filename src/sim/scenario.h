@@ -134,7 +134,7 @@ struct ScenarioSpec {
   // [correction] / [echo] / [gz] / [mmse] / [threshold] / [pdf]
   int trials = 300;
   int pdf_grid = 13;
-  std::vector<long long> omegas;
+  std::vector<int> omegas;
   std::vector<double> lies;
   std::vector<double> dvhop_lies;
   int dvhop_trials = 100;

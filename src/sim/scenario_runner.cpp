@@ -171,18 +171,19 @@ struct Deployed {
 struct KindState {
   explicit KindState(const ScenarioSpec& s) : spec(s) {}
 
-  /// One shared benign pass: per-metric scores plus each sample's victim
-  /// group (the per-group threshold modes bucket by it).
+  /// One shared benign pass: per-metric scores, each sample's victim
+  /// group (the per-group threshold modes bucket by it) and the scheme's
+  /// mean localization error (the loc-error columns).
   struct BenignPass {
     std::map<MetricKind, std::vector<double>> scores;
     std::vector<int> victim_groups;
+    double mean_loc_error = 0.0;
   };
 
   ScenarioSpec spec;
   LatchedCache<Pipeline> pipelines;
   // (pipeline key | localizer) -> the shared benign pass
   LatchedCache<BenignPass> benign;
-  LatchedCache<double> loc_errors;
   // threshold-sensitivity: per-damage attack scores on the base pipeline
   LatchedCache<std::vector<double>> attack_cache;
   // dr-sweep per_group mode: per-(pipeline|localizer|metric) boundary-group
@@ -233,20 +234,9 @@ struct KindState {
       const LocalizerFactory factory =
           localizer_factory_from_name(localizer, pipeline);
       auto pass = std::make_unique<BenignPass>();
-      pass->scores =
-          pipeline.benign_scores(factory, spec.metrics, &pass->victim_groups);
+      pass->scores = pipeline.benign_scores(
+          factory, spec.metrics, &pass->victim_groups, &pass->mean_loc_error);
       return pass;
-    });
-  }
-
-  double loc_error_for(Pipeline& pipeline, const std::string& localizer) {
-    const std::string key =
-        config_key(pipeline.config()) + "|" + localizer;
-    return loc_errors.get(key, [&] {
-      const LocalizerFactory factory =
-          localizer_factory_from_name(localizer, pipeline);
-      return std::make_unique<double>(
-          pipeline.mean_localization_error(factory));
     });
   }
 
@@ -502,7 +492,7 @@ void run_dr(KindState& st, const WorkItem& item, ItemSink& sink) {
         .add(rate_where(benign_scores, benign_groups, thresholds, boundary),
              4);
   }
-  if (spec.loc_error) row.add(st.loc_error_for(pipeline, localizer), 2);
+  if (spec.loc_error) row.add(benign_pass.mean_loc_error, 2);
 }
 
 // --- density-sweep: re-deploy per density m (Fig. 9) -------------------
@@ -526,10 +516,10 @@ void run_density(KindState& st, const WorkItem& item, ItemSink& sink) {
   // sweep uses (density_pipeline_config).
   Pipeline& pipeline =
       st.pipeline_for(density_pipeline_config(spec.pipeline, m));
-  const std::string& localizer = spec.localizers.front();
-  const ThresholdFit fit = fit_threshold(
-      metric, st.benign_for(pipeline, localizer).scores.at(metric),
-      spec.fp_budget);
+  const KindState::BenignPass& benign_pass =
+      st.benign_for(pipeline, spec.localizers.front());
+  const ThresholdFit fit =
+      fit_threshold(metric, benign_pass.scores.at(metric), spec.fp_budget);
   const std::vector<double> scores =
       pipeline.attack_scores(AttackSpec{metric, cls, d, x});
 
@@ -540,7 +530,7 @@ void run_density(KindState& st, const WorkItem& item, ItemSink& sink) {
   row.add(x, 2)
       .add(d, 0)
       .add(fraction_above(scores, fit.threshold()), 4)
-      .add(st.loc_error_for(pipeline, localizer), 2)
+      .add(benign_pass.mean_loc_error, 2)
       .add(fit.threshold(), 2);
 }
 
@@ -573,7 +563,7 @@ void run_pdf(KindState& st, const WorkItem& item, ItemSink& sink) {
 // --- gz-accuracy: g(z) table resolution ablation -----------------------
 
 void run_gz(KindState& st, const WorkItem& item, ItemSink& sink) {
-  const int omega = static_cast<int>(st.spec.omegas[item.at[0]]);
+  const int omega = st.spec.omegas[item.at[0]];
   const GzTable table({st.spec.pipeline.deploy.radio_range,
                        st.spec.pipeline.deploy.sigma},
                       omega);

@@ -27,13 +27,28 @@ InterpTable::InterpTable(std::vector<double> values, double lo, double hi)
   inv_step_ = static_cast<double>(values_.size() - 1) / (hi - lo);
 }
 
+std::vector<double> InterpTable::probe_points(int probes) const {
+  LAD_REQUIRE_MSG(probes > 0, "need at least one probe");
+  std::vector<double> xs(static_cast<std::size_t>(probes));
+  for (int i = 0; i < probes; ++i) {
+    xs[static_cast<std::size_t>(i)] = lo_ + (hi_ - lo_) * (i + 0.5) / probes;
+  }
+  return xs;
+}
+
 double InterpTable::max_abs_error(const std::function<double(double)>& f,
                                   int probes) const {
-  LAD_REQUIRE_MSG(probes > 0, "need at least one probe");
+  std::vector<double> exact;
+  for (double x : probe_points(probes)) exact.push_back(f(x));
+  return max_abs_error(exact);
+}
+
+double InterpTable::max_abs_error(const std::vector<double>& exact) const {
+  const std::vector<double> xs =
+      probe_points(static_cast<int>(exact.size()));
   double worst = 0.0;
-  for (int i = 0; i < probes; ++i) {
-    const double x = lo_ + (hi_ - lo_) * (i + 0.5) / probes;
-    worst = std::max(worst, std::abs((*this)(x) - f(x)));
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    worst = std::max(worst, std::abs((*this)(xs[i]) - exact[i]));
   }
   return worst;
 }

@@ -40,9 +40,16 @@ class InterpTable {
   int omega() const { return static_cast<int>(values_.size()) - 1; }
   const std::vector<double>& values() const { return values_; }
 
+  /// The `probes` midpoint sample points max_abs_error compares at.
+  std::vector<double> probe_points(int probes) const;
+
   /// Maximum absolute error against f over `probes` midpoint samples.
   double max_abs_error(const std::function<double(double)>& f,
                        int probes = 1000) const;
+
+  /// The same against precomputed values, `exact[i]` being f at
+  /// probe_points(exact.size())[i] (callers that memoise f's samples).
+  double max_abs_error(const std::vector<double>& exact) const;
 
  private:
   double lo_, hi_, inv_step_;

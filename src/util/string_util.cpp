@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "util/assert.h"
 
@@ -53,6 +54,15 @@ long long parse_int(std::string_view s) {
   LAD_REQUIRE_MSG(end == buf.c_str() + buf.size(),
                   "not a valid integer: '" << buf << "'");
   return v;
+}
+
+int checked_int(long long v, std::string_view what) {
+  LAD_REQUIRE_MSG(v >= std::numeric_limits<int>::min() &&
+                      v <= std::numeric_limits<int>::max(),
+                  what << " = " << v << " is out of range (must fit in int: ["
+                       << std::numeric_limits<int>::min() << ", "
+                       << std::numeric_limits<int>::max() << "])");
+  return static_cast<int>(v);
 }
 
 std::string format_double(double v, int precision) {

@@ -21,6 +21,10 @@ double parse_double(std::string_view s);
 /// Parses an integer, throwing lad::AssertionError on garbage/partial input.
 long long parse_int(std::string_view s);
 
+/// Narrows a parsed integer to int, throwing lad::AssertionError that names
+/// `what` (the key or flag it came from) when it lies outside int's range.
+int checked_int(long long v, std::string_view what);
+
 /// Fixed-precision formatting ("%.*f") without iostream state leakage.
 std::string format_double(double v, int precision);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/assert.h"
+#include <atomic>
 #include <cmath>
 #include <sstream>
 
@@ -10,9 +11,14 @@
 #include "core/metric.h"
 #include "core/serialize.h"
 #include "core/trainer.h"
+#include "deploy/network.h"
 #include "deploy/observe_kernel.h"
+#include "geom/vec2.h"
+#include "loc/localizer.h"
 #include "loc/truth_noise.h"
+#include "sim/scenario.h"
 #include "stats/quantile.h"
+#include "support/experiment_oracle.h"
 
 namespace lad {
 namespace {
@@ -35,6 +41,13 @@ LocalizerFactory truth_noise_factory(double sigma_err) {
   return [sigma_err](std::uint64_t seed) {
     return std::make_unique<TruthNoiseLocalizer>(sigma_err, seed);
   };
+}
+
+/// The benign pass's mean localization error (Diff scores discarded).
+double mean_loc_error(Pipeline& p, const LocalizerFactory& factory) {
+  double err = -1.0;
+  p.benign_scores(factory, {MetricKind::kDiff}, nullptr, &err);
+  return err;
 }
 
 TEST(Pipeline, GeneratesRequestedNetworks) {
@@ -133,8 +146,8 @@ TEST(Pipeline, DecOnlyAttackScoresAtLeastDecBounded) {
 
 TEST(Pipeline, MeanLocalizationErrorTracksConfiguredNoise) {
   Pipeline p(small_pipeline_config());
-  const double small_err = p.mean_localization_error(truth_noise_factory(2.0));
-  const double large_err = p.mean_localization_error(truth_noise_factory(30.0));
+  const double small_err = mean_loc_error(p, truth_noise_factory(2.0));
+  const double large_err = mean_loc_error(p, truth_noise_factory(30.0));
   EXPECT_LT(small_err, large_err);
   EXPECT_NEAR(small_err, 2.0 * std::sqrt(M_PI / 2), 1.0);
 }
@@ -142,9 +155,72 @@ TEST(Pipeline, MeanLocalizationErrorTracksConfiguredNoise) {
 TEST(Pipeline, MleFactoryProducesWorkingLocalizer) {
   Pipeline p(small_pipeline_config());
   const auto factory = beaconless_mle_factory(p.model(), p.gz());
-  const double err = p.mean_localization_error(factory);
+  const double err = mean_loc_error(p, factory);
   EXPECT_GT(err, 0.0);
   EXPECT_LT(err, 60.0);
+}
+
+TEST(Pipeline, LocErrorOfTheScoredPassMatchesTheReferencePassBitForBit) {
+  // The scored pass's `mean_loc_error` against a separate sequential
+  // localize-only pass: every registry scheme, stateless (flat per-victim
+  // fan-out) and stateful (per-network fallback), at 1 and 4 threads.
+  for (const char* name : {"beaconless-mle", "weighted-centroid", "dv-hop",
+                           "amorphous", "truth-noise:10"}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(name) + " threads=" + std::to_string(threads));
+      PipelineConfig cfg = small_pipeline_config();
+      cfg.threads = threads;
+      Pipeline p(cfg);
+      const LocalizerFactory factory = localizer_factory_from_name(name, p);
+      double err = -1.0;
+      const auto with_err =
+          p.benign_scores(factory, {MetricKind::kDiff}, nullptr, &err);
+      EXPECT_EQ(err, reference_mean_localization_error(p, factory));
+      // Measuring the error never perturbs the scores.
+      EXPECT_EQ(with_err, p.benign_scores(factory, {MetricKind::kDiff}));
+    }
+  }
+}
+
+TEST(Pipeline, OneBenignPassLocalizesEachVictimOnce) {
+  // Scores and the loc-error column come from one pass: the factory runs
+  // once per network and localize() once per (network, victim).
+  struct Counts {
+    std::atomic<int> factory{0};
+    std::atomic<int> localize{0};
+  } counts;
+  class CountingLocalizer final : public Localizer {
+   public:
+    explicit CountingLocalizer(std::atomic<int>& calls) : calls_(calls) {}
+    std::string name() const override { return "counting"; }
+    Vec2 localize(const Network& net, std::size_t node) override {
+      ++calls_;
+      return net.position(node);
+    }
+    bool concurrent_localize() const override { return true; }
+
+   private:
+    std::atomic<int>& calls_;
+  };
+  const LocalizerFactory factory = [&counts](std::uint64_t) {
+    ++counts.factory;
+    return std::make_unique<CountingLocalizer>(counts.localize);
+  };
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    counts.factory = 0;
+    counts.localize = 0;
+    PipelineConfig cfg = small_pipeline_config();
+    cfg.threads = threads;
+    Pipeline p(cfg);
+    std::vector<int> groups;
+    double err = -1.0;
+    p.benign_scores(factory, {MetricKind::kDiff, MetricKind::kProb}, &groups,
+                    &err);
+    EXPECT_EQ(counts.factory, cfg.networks);
+    EXPECT_EQ(counts.localize, cfg.networks * cfg.victims_per_network);
+    EXPECT_EQ(err, 0.0);  // it localizes every victim exactly
+  }
 }
 
 TEST(Pipeline, RejectsBadConfigs) {

@@ -312,6 +312,90 @@ TEST(ScenarioSpec, OutOfRangeValuesAreRejectedByKey) {
       parse("threshold-sensitivity", "[threshold]\nfudges = 0.01\n"));
 }
 
+// An integer past int's range is rejected by key, not wrapped: 2^32 + 1
+// used to run as 1 (one network, one trial, ...).
+TEST(ScenarioSpec, IntegersPastIntRangeAreRejectedByKey) {
+  struct Row {
+    const char* kind;
+    const char* section;
+    const char* key;
+  };
+  const std::vector<Row> rows = {
+      {"dr-sweep", "pipeline", "networks"},
+      {"dr-sweep", "pipeline", "victims"},
+      {"dr-sweep", "pipeline", "m"},
+      {"dr-sweep", "pipeline", "grid_nx"},
+      {"dr-sweep", "pipeline", "grid_ny"},
+      {"dr-sweep", "pipeline", "gz_omega"},
+      {"dr-sweep", "quick", "networks"},
+      {"dr-sweep", "quick", "victims"},
+      {"dr-sweep", "quick", "m"},
+      {"correction", "quick", "trials"},
+      {"mmse-vulnerability", "quick", "dvhop_trials"},
+      {"density-sweep", "quick", "densities"},
+      {"density-sweep", "sweep", "densities"},
+      {"roc", "output", "curve_points"},
+      {"roc", "run", "jobs"},
+      {"correction", "correction", "trials"},
+      {"echo-comparison", "echo", "trials"},
+      {"echo-comparison", "echo", "grid_x"},
+      {"echo-comparison", "echo", "grid_y"},
+      {"echo-comparison", "echo", "train_samples"},
+      {"gz-accuracy", "gz", "omegas"},
+      {"mmse-vulnerability", "mmse", "trials"},
+      {"mmse-vulnerability", "mmse", "dvhop_trials"},
+      {"deployment-pdf", "pdf", "grid"},
+      {"time-evolving", "evolve", "trials"},
+      {"time-evolving", "evolve", "rounds"},
+      {"time-evolving", "evolve", "step"},
+      {"time-evolving", "evolve", "initial"},
+      {"time-evolving", "evolve", "train_samples"},
+      {"in-network", "coop", "trials"},
+      {"in-network", "coop", "train_samples"},
+  };
+  for (const Row& row : rows) {
+    const std::string key = std::string("[") + row.section + "] " + row.key;
+    SCOPED_TRACE(key);
+    try {
+      ScenarioSpec::from_config(KvConfig::parse_string(
+          std::string("[scenario]\nname = x\nexperiment = ") + row.kind +
+          "\n[" + row.section + "]\n" + row.key + " = 4294967297\n"));
+      ADD_FAILURE() << "parsed";
+    } catch (const AssertionError& e) {
+      EXPECT_NE(std::string(e.what()).find(key +
+                                           " = 4294967297 is out of range"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Both together used to run as 1 network x 10 victims and exit 0.
+  EXPECT_THROW(ScenarioSpec::from_config(KvConfig::parse_string(
+                   "[scenario]\nname = x\nexperiment = dr-sweep\n"
+                   "[pipeline]\nnetworks = 4294967297\n"
+                   "victims = 4294967306\n")),
+               AssertionError);
+}
+
+TEST(ScenarioOverrides, IntFlagsPastIntRangeAreRejectedByName) {
+  for (const char* name : {"m", "networks", "victims", "threads", "jobs"}) {
+    const std::string flag = std::string("--") + name;
+    SCOPED_TRACE(flag);
+    const std::vector<const char*> argv = {"prog", flag.c_str(),
+                                           "4294967297"};
+    const Flags flags =
+        Flags::parse(static_cast<int>(argv.size()), argv.data());
+    try {
+      overrides_from_flags(flags);
+      ADD_FAILURE() << "accepted";
+    } catch (const AssertionError& e) {
+      EXPECT_NE(std::string(e.what()).find(flag +
+                                           " = 4294967297 is out of range"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ScenarioSpec, QuickOverridesApply) {
   ScenarioSpec spec = ScenarioSpec::from_config(KvConfig::parse_string(
       "[scenario]\nname = x\nexperiment = density-sweep\n"
@@ -363,6 +447,8 @@ TEST(ParseShard, RejectsMalformedSyntax) {
   EXPECT_THROW(parse_shard("-1/2"), AssertionError);
   EXPECT_THROW(parse_shard("a/b"), AssertionError);
   EXPECT_THROW(parse_shard(""), AssertionError);
+  // A count past int's range is an error, not a wrapped 0/1.
+  EXPECT_THROW(parse_shard("0/4294967297"), AssertionError);
 }
 
 // --- runner ------------------------------------------------------------

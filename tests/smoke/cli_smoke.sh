@@ -51,4 +51,15 @@ run simulate 0 "$cli" simulate --detector "$workdir/detector.lad" \
 grep -q "benign false positives:" <<<"$output" || fail "simulate: missing benign line"
 grep -q "attacks detected (D=120" <<<"$output" || fail "simulate: missing detection line"
 
+# An integer flag past int's range is an error that names the flag, not a
+# wrapped value: --m 4294967297 used to train and save an m = 1 bundle.
+run train_wrap 1 "$cli" train --out "$workdir/wrapped.lad" --m 4294967297
+grep -q -- "--m = 4294967297 is out of range" <<<"$output" ||
+  fail "train: out-of-range --m not rejected by name"
+[ ! -e "$workdir/wrapped.lad" ] || fail "train: wrote a bundle for --m 2^32+1"
+run simulate_wrap 1 "$cli" simulate --detector "$workdir/detector.lad" \
+  --trials 4294967297
+grep -q -- "--trials = 4294967297 is out of range" <<<"$output" ||
+  fail "simulate: out-of-range --trials not rejected by name"
+
 echo "cli_smoke OK"

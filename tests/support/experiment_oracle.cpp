@@ -1,7 +1,15 @@
 #include "support/experiment_oracle.h"
 
+#include <cstdint>
+#include <memory>
+
 #include "attack/adversary.h"
 #include "core/metric.h"
+#include "deploy/network.h"
+#include "geom/aabb.h"
+#include "geom/vec2.h"
+#include "loc/localizer.h"
+#include "rng/rng.h"
 #include "sim/experiment.h"
 #include "sim/pipeline.h"
 #include "stats/quantile.h"
@@ -65,6 +73,44 @@ std::vector<DrPoint> run_dr_sweep(Pipeline& pipeline,
     }
   }
   return out;
+}
+
+double reference_mean_localization_error(const Pipeline& pipeline,
+                                         const LocalizerFactory& factory) {
+  // The pipeline's benign sub-stream and its victim draw (in-field
+  // rejection, 256 tries), restated here so the reference shares no code
+  // with the pass it checks.
+  constexpr std::uint64_t kStreamBenign = 0x42454e49ull;  // "BENI"
+  const PipelineConfig& cfg = pipeline.config();
+  const Aabb field = cfg.deploy.field();
+  const auto draw_victim = [&](const Network& net, Rng& rng) {
+    for (int tries = 0; tries < 256; ++tries) {
+      const std::size_t node =
+          static_cast<std::size_t>(rng.uniform_int(net.num_nodes()));
+      if (!cfg.victims_in_field_only || field.contains(net.position(node))) {
+        return node;
+      }
+    }
+    return static_cast<std::size_t>(rng.uniform_int(net.num_nodes()));
+  };
+
+  const std::size_t k = static_cast<std::size_t>(cfg.victims_per_network);
+  double sum = 0.0;
+  for (std::size_t ni = 0; ni < pipeline.networks().size(); ++ni) {
+    const Network& net = *pipeline.networks()[ni];
+    Rng rng = Rng::stream(cfg.seed ^ kStreamBenign, ni);
+    const std::uint64_t loc_seed = rng.bits();
+    std::vector<std::size_t> victims(k);
+    for (std::size_t& node : victims) node = draw_victim(net, rng);
+    const std::unique_ptr<Localizer> localizer = factory(loc_seed);
+    localizer->prepare(net);
+    double total = 0.0;
+    for (std::size_t node : victims) {
+      total += distance(localizer->localize(net, node), net.position(node));
+    }
+    sum += total / static_cast<double>(k);
+  }
+  return sum / static_cast<double>(pipeline.networks().size());
 }
 
 }  // namespace lad

@@ -6,6 +6,9 @@
 //  Figs. 5/6  run_roc_experiment over attack classes x damages (DR-FP-T-D)
 //  Fig. 7  run_dr_sweep over damages x compromise fractions (DR-D-x)
 //  Fig. 8  run_dr_sweep over compromise fractions x damages (DR-x-D)
+//
+// Plus the sequential localization-error pass the Fig. 9 column used to
+// run on its own, the reference for benign_scores' `mean_loc_error`.
 #pragma once
 
 #include <vector>
@@ -54,5 +57,13 @@ std::vector<DrPoint> run_dr_sweep(Pipeline& pipeline,
                                   const std::vector<double>& damages,
                                   const std::vector<double>& compromised_fracs,
                                   double fp_budget);
+
+/// Mean localization error |Le - La| of `factory`'s scheme over the benign
+/// pass's victims, by its own sequential pass: per network, the benign
+/// sub-stream's localizer seed then its victim draws, one localizer
+/// prepared on the network, each victim localized in order; the mean per
+/// network, then the mean of those.
+double reference_mean_localization_error(const Pipeline& pipeline,
+                                         const LocalizerFactory& factory);
 
 }  // namespace lad

@@ -58,6 +58,23 @@ TEST(ParseInt, RejectsGarbageAndPartials) {
   EXPECT_THROW(parse_int(""), AssertionError);
 }
 
+TEST(CheckedInt, NarrowsInRangeAndNamesTheSourceOutOfRange) {
+  EXPECT_EQ(checked_int(2147483647LL, "k"), 2147483647);
+  EXPECT_EQ(checked_int(-2147483648LL, "k"), -2147483648LL);
+  for (long long v : {2147483648LL, -2147483649LL, 4294967297LL}) {
+    try {
+      checked_int(v, "[pipeline] networks");
+      ADD_FAILURE() << v << " narrowed";
+    } catch (const AssertionError& e) {
+      EXPECT_NE(std::string(e.what()).find("[pipeline] networks = " +
+                                           std::to_string(v) +
+                                           " is out of range"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(FormatDouble, FixedPrecision) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(1.0, 0), "1");

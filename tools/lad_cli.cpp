@@ -108,16 +108,17 @@ int usage() {
 
 PipelineConfig pipeline_from_flags(const Flags& flags) {
   PipelineConfig cfg;
-  cfg.deploy.nodes_per_group = static_cast<int>(flags.get_int("m", 300));
+  cfg.deploy.nodes_per_group = checked_int(flags.get_int("m", 300), "--m");
   cfg.deploy.radio_range = flags.get_double("r", 50.0);
   cfg.deploy.sigma = flags.get_double("sigma", 50.0);
-  cfg.networks = static_cast<int>(flags.get_int("networks", 6));
-  cfg.victims_per_network = static_cast<int>(flags.get_int("victims", 150));
+  cfg.networks = checked_int(flags.get_int("networks", 6), "--networks");
+  cfg.victims_per_network =
+      checked_int(flags.get_int("victims", 150), "--victims");
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   // 0 = default parallelism; negative values are rejected by name inside
   // parallel_for_items, and the trained bundle is bit-identical at every
   // thread count (the pipeline's determinism contract).
-  cfg.threads = static_cast<int>(flags.get_int("threads", 0));
+  cfg.threads = checked_int(flags.get_int("threads", 0), "--threads");
   return cfg;
 }
 
@@ -141,8 +142,8 @@ int cmd_train(const Flags& flags) {
   const std::vector<double> taus = flags.get_double_list("taus", {});
   GroupTrainingSpec grouped;
   grouped.per_group = flags.get_bool("per-group", false);
-  grouped.min_samples =
-      static_cast<int>(flags.get_int("min-group-samples", 100));
+  grouped.min_samples = checked_int(flags.get_int("min-group-samples", 100),
+                                    "--min-group-samples");
   if (!grouped.per_group && flags.has("min-group-samples")) {
     std::cerr << "train: --min-group-samples needs --per-group\n";
     return 2;
@@ -278,7 +279,7 @@ int cmd_check(const Flags& flags) {
     LAD_REQUIRE_MSG(g >= 0 && g < static_cast<long long>(obs.num_groups()),
                     "group out of range in --obs: " << g);
     obs.counts[static_cast<std::size_t>(g)] =
-        static_cast<int>(parse_int(kv[1]));
+        checked_int(parse_int(kv[1]), "--obs count");
   }
   Verdict v;
   if (flags.has("group")) {
@@ -306,7 +307,7 @@ int cmd_simulate(const Flags& flags) {
   const RuntimeDetector rt(bundle);
   const double d = flags.get_double("d", 120.0);
   const double x = flags.get_double("x", 0.10);
-  const int trials = static_cast<int>(flags.get_int("trials", 200));
+  const int trials = checked_int(flags.get_int("trials", 200), "--trials");
   LAD_REQUIRE_MSG(trials > 0, "--trials must be positive");
   const AttackClass cls =
       attack_class_from_name(flags.get_string("attack", "dec-bounded"));
@@ -322,7 +323,7 @@ int cmd_simulate(const Flags& flags) {
   // would run.
   const bool per_group = flags.get_bool("per-group", false);
 
-  const int threads = static_cast<int>(flags.get_int("threads", 0));
+  const int threads = checked_int(flags.get_int("threads", 0), "--threads");
 
   Rng rng(seed);
   const Network net(rt.model(), rng);
