@@ -11,7 +11,7 @@ function(lad_apply_werror name)
 endfunction()
 
 # Applies the project warning set to one target.  The whole tree — every
-# layer, test, tool, and bench — compiles under -Wall -Wextra -Wshadow
+# layer, test, tool, and example — compiles under -Wall -Wextra -Wshadow
 # -Wconversion, so numeric narrowing and shadowed names must be spelled
 # out everywhere, not just in the hot-path layers where the set started.
 function(lad_apply_warnings name)
@@ -24,7 +24,7 @@ endfunction()
 # lad_add_library(<name> SOURCES <cpp...> [DEPS <targets...>])
 #
 # Declares one static layer library rooted at src/.  Include paths and the
-# C++ standard propagate PUBLIC-ly, so test/bench/example targets only need
+# C++ standard propagate PUBLIC-ly, so test/tool/example targets only need
 # to link the layers they use and get the rest transitively.
 function(lad_add_library name)
   cmake_parse_arguments(ARG "" "" "SOURCES;DEPS" ${ARGN})
@@ -61,9 +61,9 @@ endfunction()
 
 # lad_add_program(<name> SOURCES <cpp...> [DEPS <targets...>] [IN_ALL])
 #
-# Bench/example binaries stay out of the default build; umbrella targets
-# (`benches`, `examples`) build them on demand.  IN_ALL opts a binary into
-# the default build (used for the ones exercised by CTest smoke tests).
+# Example binaries stay out of the default build; the `examples` umbrella
+# target builds them on demand.  IN_ALL opts a binary into the default
+# build (the tools, and the examples exercised by CTest smoke tests).
 function(lad_add_program name)
   cmake_parse_arguments(ARG "IN_ALL" "" "SOURCES;DEPS" ${ARGN})
   if(ARG_IN_ALL)

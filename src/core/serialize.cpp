@@ -97,6 +97,15 @@ long long parse_int_at(const LineReader& r, std::string_view s) {
   }
 }
 
+/// An int field: a value outside int's range names `key`, never wraps.
+int int_at(const LineReader& r, std::string_view s, std::string_view key) {
+  try {
+    return checked_int(parse_int(s), key);
+  } catch (const AssertionError& e) {
+    fail_at(r, e.what());
+  }
+}
+
 MetricKind metric_at(const LineReader& r, const std::string& s) {
   try {
     return metric_from_name(s);
@@ -122,6 +131,11 @@ std::string expect_kv(LineReader& r, const char* expect_key) {
   return line.substr(sp + 1);
 }
 
+/// Reads one "key value" line whose int value is range-checked.
+int expect_int_kv(LineReader& r, const char* expect_key) {
+  return int_at(r, expect_kv(r, expect_key), expect_key);
+}
+
 void expect_line(LineReader& r, const char* text) {
   const std::string line = r.require(text);
   LAD_REQUIRE_MSG(line == text, "bundle line " << r.line_no()
@@ -134,10 +148,9 @@ void expect_line(LineReader& r, const char* text) {
 /// [deployment] section.
 void read_deployment_fields(LineReader& r, DetectorBundle& b) {
   b.config.field_side = parse_double_at(r, expect_kv(r, "field_side"));
-  b.config.grid_nx = static_cast<int>(parse_int_at(r, expect_kv(r, "grid_nx")));
-  b.config.grid_ny = static_cast<int>(parse_int_at(r, expect_kv(r, "grid_ny")));
-  b.config.nodes_per_group =
-      static_cast<int>(parse_int_at(r, expect_kv(r, "nodes_per_group")));
+  b.config.grid_nx = expect_int_kv(r, "grid_nx");
+  b.config.grid_ny = expect_int_kv(r, "grid_ny");
+  b.config.nodes_per_group = expect_int_kv(r, "nodes_per_group");
   b.config.sigma = parse_double_at(r, expect_kv(r, "sigma"));
   b.config.radio_range = parse_double_at(r, expect_kv(r, "radio_range"));
   b.config.clamp_to_field =
@@ -165,7 +178,7 @@ void read_deployment_points(LineReader& r, DetectorBundle& b) {
 DetectorBundle load_v1(LineReader& r) {
   DetectorBundle b;
   read_deployment_fields(r, b);
-  b.gz_omega = static_cast<int>(parse_int_at(r, expect_kv(r, "gz_omega")));
+  b.gz_omega = expect_int_kv(r, "gz_omega");
   DetectorSpec spec;
   spec.metric = metric_at(r, expect_kv(r, "metric"));
   spec.threshold = parse_double_at(r, expect_kv(r, "threshold"));
@@ -203,7 +216,7 @@ DetectorBundle load_v2(LineReader& r) {
   read_deployment_fields(r, b);
   read_deployment_points(r, b);
   expect_line(r, "[gz]");
-  b.gz_omega = static_cast<int>(parse_int_at(r, expect_kv(r, "omega")));
+  b.gz_omega = expect_int_kv(r, "omega");
 
   std::string line = r.require("a [detector.<name>] section");
   std::vector<std::string> labels;
@@ -251,7 +264,7 @@ DetectorBundle load_v2(LineReader& r) {
                                "trained|fallback), got "
                             << tokens.size() - 1);
         GroupThreshold g;
-        g.group = static_cast<int>(parse_int_at(r, tokens[1]));
+        g.group = int_at(r, tokens[1], "group");
         g.threshold = parse_double_at(r, tokens[2]);
         if (tokens.size() == 7) {
           const long long samples = parse_int_at(r, tokens[3]);

@@ -2,10 +2,6 @@
 
 #include <thread>
 
-#ifdef LAD_HAVE_OPENMP
-#include <omp.h>
-#endif
-
 #include "util/assert.h"
 #include "util/env.h"
 #include "util/thread_pool.h"
@@ -32,12 +28,8 @@ int env_thread_override() {
 int default_parallelism() {
   const int pinned = env_thread_override();
   if (pinned > 0) return pinned;
-#ifdef LAD_HAVE_OPENMP
-  return omp_get_max_threads();
-#else
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-#endif
 }
 
 void parallel_for_items(std::size_t n,
@@ -56,20 +48,6 @@ void parallel_for_items(std::size_t n,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-#ifdef LAD_HAVE_OPENMP
-  // Exceptions must not escape an OpenMP region; capture and rethrow.
-  std::exception_ptr first_error = nullptr;
-#pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
-  for (long long i = 0; i < static_cast<long long>(n); ++i) {
-    try {
-      fn(static_cast<std::size_t>(i));
-    } catch (...) {
-#pragma omp critical(lad_parallel_error)
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-#else
   // One process-wide pool, grown on demand and reused across calls: a
   // scenario sweep issues thousands of these loops, and spawning/joining
   // a fresh pool per call dominated the small passes.  The caller
@@ -79,7 +57,6 @@ void parallel_for_items(std::size_t n,
   ThreadPool& pool = ThreadPool::shared();
   pool.ensure_workers(static_cast<std::size_t>(threads) - 1);
   pool.parallel_for(0, n, fn, static_cast<std::size_t>(threads));
-#endif
 }
 
 }  // namespace lad

@@ -1,9 +1,9 @@
 // Parallel-for over independent simulation work items.
 //
-// Uses OpenMP when compiled in (dynamic schedule: network generation and
-// MLE search have variable cost per item), otherwise the process-wide
-// shared ThreadPool (grown on demand, reused across calls, caller
-// participates).  Work items must be independent (CP.2): callers write results into
+// Runs on the process-wide shared ThreadPool (grown on demand, reused
+// across calls, caller participates; iterations are handed out one at a
+// time because network generation and MLE search vary in cost per item).
+// Work items must be independent (CP.2): callers write results into
 // pre-sized slots indexed by the item id, so no synchronization is needed,
 // and determinism comes from per-item RNG streams, never from scheduling.
 #pragma once
@@ -23,8 +23,8 @@ void parallel_for_items(std::size_t n, const std::function<void(std::size_t)>& f
 
 /// Number of workers parallel_for_items would use by default: the
 /// LAD_THREADS environment pin when set (an integer in [1, 4096]; any
-/// other value present is a named error — benches and CI rely on the pin
-/// for reproducible thread counts), otherwise the hardware/OpenMP count.
+/// other value present is a named error — the benchmark and CI rely on the
+/// pin for reproducible thread counts), otherwise the hardware count.
 int default_parallelism();
 
 }  // namespace lad

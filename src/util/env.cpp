@@ -19,11 +19,6 @@ bool env_flag(const char* name) {
   return v != nullptr && *v != '\0';
 }
 
-std::string env_string(const char* name, const std::string& fallback) {
-  const char* v = env_raw(name);
-  return v == nullptr || *v == '\0' ? fallback : std::string(v);
-}
-
 long env_int(const char* name, long fallback, long min, long max) {
   const char* v = env_raw(name);
   if (v == nullptr || *v == '\0') return fallback;

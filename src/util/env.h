@@ -8,17 +8,12 @@
 // bypass the validation.
 #pragma once
 
-#include <string>
-
 namespace lad {
 
 /// True when `name` is set to a non-empty value.  The convention for
 /// boolean knobs (LAD_NO_AVX2, LAD_REGOLD): any non-empty value enables,
 /// unset or empty disables.
 bool env_flag(const char* name);
-
-/// The value of `name`, or `fallback` when unset or empty.
-std::string env_string(const char* name, const std::string& fallback = "");
 
 /// Integer knob: returns `fallback` when `name` is unset or empty;
 /// otherwise the value must parse as an integer in [min, max] or the

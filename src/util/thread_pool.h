@@ -1,7 +1,7 @@
 // Persistent thread pool with a dynamically-chunked parallel_for.
 //
-// The Monte-Carlo engine prefers OpenMP when available; this pool is the
-// portable fallback and is also used directly by a few tests to validate
+// The one parallel backend of the Monte-Carlo engine: parallel_for_items
+// runs on the shared pool, and a few tests use it directly to validate
 // thread-count-independent determinism (results must not depend on how work
 // is scheduled, only on per-trial seeds).
 //

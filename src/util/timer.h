@@ -1,4 +1,4 @@
-// Wall-clock stopwatch used by the bench harnesses.
+// Wall-clock stopwatch for timing instrumentation.
 #pragma once
 
 #include <chrono>
@@ -19,7 +19,7 @@ class Timer {
   double millis() const { return seconds() * 1e3; }
 
  private:
-  // lad-lint: allow(ban-clock-now) -- Timer is bench/tool instrumentation
+  // lad-lint: allow(ban-clock-now) -- Timer is instrumentation
   // only; wall-clock readings never feed simulation output.
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

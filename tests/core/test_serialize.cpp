@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "core/detector.h"
 #include "core/fusion.h"
@@ -369,6 +371,49 @@ TEST(Serialize, RejectsCoarseGzOmegaAtLoad) {
                      "metric diff\nthreshold 1\npoints 2\n1 2\n3 4\n"),
                AssertionError);
   EXPECT_NO_THROW(make_bundle(model, kMinGzOmega, MetricKind::kDiff, 1.0));
+}
+
+TEST(Serialize, RejectsIntFieldsPastIntRangeByKeyAndLine) {
+  // 2^32 + 40: narrowed without a range check it would load as m = 40.
+  const std::string big = "4294967336";
+  const auto expect_named = [](const std::string& text, const std::string& key,
+                               int line) {
+    try {
+      parse(text);
+      ADD_FAILURE() << "loaded a bundle with " << key << " past int";
+    } catch (const AssertionError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("bundle line " + std::to_string(line) + ": "),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(key + " = "), std::string::npos) << what;
+    }
+  };
+  const DeploymentModel model(cfg4());
+  const std::string text =
+      text_of(make_bundle(model, 64, MetricKind::kDiff, 1.0));
+  for (const std::string key :
+       {"grid_nx", "grid_ny", "nodes_per_group", "omega"}) {
+    const std::size_t pos = text.find("\n" + key + " ");
+    ASSERT_NE(pos, std::string::npos) << key;
+    const std::size_t eol = text.find('\n', pos + 1);
+    const int line =
+        2 + static_cast<int>(std::count(text.begin(),
+                                        text.begin() + static_cast<long>(pos),
+                                        '\n'));
+    std::string wide = text;
+    wide.replace(pos + 1, eol - pos - 1, key + " " + big);
+    expect_named(wide, key, line);
+  }
+  const int group_line =
+      1 + static_cast<int>(std::count(text.begin(), text.end(), '\n'));
+  expect_named(text + "group " + big + " 1.0\n", "group", group_line);
+  // The v1 spelling of omega goes through the same check.
+  expect_named("lad-detector v1\nfield_side 400\ngrid_nx 4\n"
+               "grid_ny 4\nnodes_per_group 30\nsigma 25\n"
+               "radio_range 45\nclamp_to_field 0\ngz_omega " +
+                   big + "\nmetric diff\nthreshold 1\npoints 2\n1 2\n3 4\n",
+               "gz_omega", 9);
 }
 
 TEST(Serialize, RejectsUnknownDetectorKeyWithLineContext) {

@@ -1,4 +1,4 @@
-// ban-clock-now fixture: std::chrono clocks belong in bench/ and tools/.
+// ban-clock-now fixture: std::chrono clocks belong in tools/ only.
 #include <chrono>
 double now() {
   return std::chrono::duration<double>(

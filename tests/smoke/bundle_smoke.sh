@@ -125,4 +125,14 @@ run check_bad 1 "$cli" check --detector "$workdir/bad.lad" --le-x 0 --le-y 0
 grep -q "bad.lad" <<<"$output" || fail "malformed bundle: error does not name the file"
 grep -q "line" <<<"$output" || fail "malformed bundle: error has no line context"
 
+# An int field past int's range is a named error, never a wrap (2^32 + 40
+# would load as m = 40).
+sed 's/^nodes_per_group .*/nodes_per_group 4294967336/' "$workdir/fused.lad" \
+  > "$workdir/wide.lad"
+grep -q "^nodes_per_group 4294967336$" "$workdir/wide.lad" \
+  || fail "wide bundle: nodes_per_group line not rewritten"
+run inspect_wide 1 "$cli" inspect --detector "$workdir/wide.lad"
+grep -q "bundle line 6: .*nodes_per_group = 4294967336" <<<"$output" \
+  || fail "wide bundle: error does not name the key and line"
+
 echo "bundle_smoke OK"

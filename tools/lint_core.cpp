@@ -302,7 +302,7 @@ struct FileContext {
   std::string layer;        // "" outside src/
   bool cmake = false;
   bool kernel = false;
-  bool timing_exempt = false;   // bench/ and tools/ may read clocks
+  bool timing_exempt = false;   // tools/ may read clocks
   bool rng_exempt = false;      // src/rng/ and tests/support/ construct Rng
   bool getenv_exempt = false;   // src/util/env.cpp wraps getenv
   bool writes_output = false;   // includes util/csv.h or core/serialize.h
@@ -314,10 +314,9 @@ FileContext classify(const std::string& rel_path, const std::string& content) {
   ctx.layer = src_layer_of(rel_path);
   ctx.cmake = is_cmake_file(rel_path);
   ctx.kernel = is_kernel_tu(rel_path);
-  ctx.timing_exempt =
-      starts_with(rel_path, "bench/") || starts_with(rel_path, "tools/");
-  // Library code must take an Rng stream; entry points (bench mains,
-  // examples, tools) legitimately own their root seed, and src/rng/ and
+  ctx.timing_exempt = starts_with(rel_path, "tools/");
+  // Library code must take an Rng stream; entry points (examples,
+  // tools) legitimately own their root seed, and src/rng/ and
   // tests/support/ define the constructors and fixtures themselves.
   ctx.rng_exempt = !starts_with(rel_path, "src/") ||
                    starts_with(rel_path, "src/rng/") ||
@@ -367,7 +366,7 @@ void lint_code_line(const FileContext& ctx, const std::string& code, int line,
     if (has_token(code, "steady_clock") || has_token(code, "system_clock") ||
         has_token(code, "high_resolution_clock")) {
       emit("ban-clock-now",
-           "std::chrono clock reads belong in bench/ and tools/ only");
+           "std::chrono clock reads belong in tools/ only");
     }
   }
   if (has_lgamma_call(code)) {

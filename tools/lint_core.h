@@ -11,7 +11,7 @@
 //   ban-rand             std::rand/srand/random_device — all randomness
 //                        flows through lad::Rng streams
 //   ban-time             time()/clock() wall-clock reads in library code
-//   ban-clock-now        std::chrono::*_clock::now outside bench/ + tools/
+//   ban-clock-now        std::chrono::*_clock::now outside tools/
 //   ban-lgamma           std::lgamma/lgammaf write the process-global
 //                        `signgam` (TSan-proven race); use lgamma_r
 //   unordered-output     unordered_{map,set} in a TU that writes CSV or

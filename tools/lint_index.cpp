@@ -395,14 +395,14 @@ namespace {
 
 /// Resolves one quoted include against the scanned file set: relative to
 /// the including file first (the tools/ and in-layer style), then against
-/// the project include roots (src/, tests/, tools/, bench/).
+/// the project include roots (src/, tests/, tools/).
 std::string resolve_include(const std::set<std::string>& all,
                             const std::string& includer,
                             const std::string& inc) {
   std::vector<std::string> candidates;
   const fs::path dir = fs::path(includer).parent_path();
   candidates.push_back((dir / inc).lexically_normal().generic_string());
-  for (const char* base : {"src/", "tests/", "tools/", "bench/"}) {
+  for (const char* base : {"src/", "tests/", "tools/"}) {
     candidates.push_back(
         (fs::path(base) / inc).lexically_normal().generic_string());
   }
