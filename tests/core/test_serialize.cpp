@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <sstream>
 #include <string>
 
@@ -397,10 +398,9 @@ TEST(Serialize, RejectsIntFieldsPastIntRangeByKeyAndLine) {
     const std::size_t pos = text.find("\n" + key + " ");
     ASSERT_NE(pos, std::string::npos) << key;
     const std::size_t eol = text.find('\n', pos + 1);
+    const auto before = text.begin() + static_cast<std::ptrdiff_t>(pos);
     const int line =
-        2 + static_cast<int>(std::count(text.begin(),
-                                        text.begin() + static_cast<long>(pos),
-                                        '\n'));
+        2 + static_cast<int>(std::count(text.begin(), before, '\n'));
     std::string wide = text;
     wide.replace(pos + 1, eol - pos - 1, key + " " + big);
     expect_named(wide, key, line);
