@@ -13,6 +13,8 @@
 #include "core/trainer.h"
 #include "sim/pipeline.h"
 #include "support/experiment_oracle.h"
+#include "support/golden.h"
+#include "support/spec_describe.h"
 #include "util/assert.h"
 #include "util/csv.h"
 #include "util/flags.h"
@@ -967,6 +969,32 @@ TEST(ScenarioSpecFiles, AllCheckedInSpecsParse) {
     ++count;
   }
   EXPECT_GE(count, 20);  // 19 figure/table specs + quickstart
+#endif
+}
+
+// Every checked-in spec parses to the same ScenarioSpec, member by member,
+// as loaded and after the quick overrides.
+TEST(ScenarioSpecFiles, ParsedSpecsMatchTheGolden) {
+#ifndef LAD_SCENARIO_DIR
+  GTEST_SKIP() << "LAD_SCENARIO_DIR not configured";
+#else
+  namespace fs = std::filesystem;
+  std::vector<fs::path> paths;
+  for (const auto& entry : fs::directory_iterator(LAD_SCENARIO_DIR)) {
+    if (entry.path().extension() == ".scn") paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  ScenarioOverrides quick;
+  quick.quick = true;
+  std::string out;
+  for (const fs::path& path : paths) {
+    const ScenarioSpec spec = ScenarioSpec::load(path.string());
+    const std::string file = path.filename().string();
+    out += "== " + file + " ==\n" + test::describe(spec);
+    out += "== " + file + " (quick) ==\n" +
+           test::describe(apply_overrides(spec, quick));
+  }
+  test::expect_matches_golden(out, "scenario_goldens/parsed_specs.txt");
 #endif
 }
 
