@@ -38,9 +38,12 @@ function(lad_add_header_selfchecks)
   lad_apply_werror(lad_header_selfcheck)
 
   list(LENGTH lad_public_headers n_headers)
+  # The one-header TUs are independent, so the build runs one compile per
+  # logical core; RUN_SERIAL keeps other ctest jobs off those cores.
+  cmake_host_system_information(RESULT n_cores QUERY NUMBER_OF_LOGICAL_CORES)
   add_test(NAME lint.header_selfcheck
     COMMAND "${CMAKE_COMMAND}" --build "${CMAKE_BINARY_DIR}"
-            --target lad_header_selfcheck)
+            --target lad_header_selfcheck --parallel ${n_cores})
   set_tests_properties(lint.header_selfcheck PROPERTIES
     LABELS "lint"
     RUN_SERIAL TRUE)  # drives the build tool; don't race parallel ctest jobs

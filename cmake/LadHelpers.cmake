@@ -32,6 +32,10 @@ function(lad_add_library name)
   add_library(lad::${name} ALIAS ${name})
   target_include_directories(${name} PUBLIC "${PROJECT_SOURCE_DIR}/src")
   target_compile_features(${name} PUBLIC cxx_std_20)
+  # __FILE__ (and so every LAD_REQUIRE location) is repo-relative, e.g.
+  # src/util/string_util.cpp:60, in this library and everything linking it.
+  target_compile_options(${name} PUBLIC
+    $<$<CXX_COMPILER_ID:GNU,Clang,AppleClang>:-fmacro-prefix-map=${PROJECT_SOURCE_DIR}/=>)
   if(ARG_DEPS)
     target_link_libraries(${name} PUBLIC ${ARG_DEPS})
   endif()
@@ -61,9 +65,9 @@ endfunction()
 
 # lad_add_program(<name> SOURCES <cpp...> [DEPS <targets...>] [IN_ALL])
 #
-# Example binaries stay out of the default build; the `examples` umbrella
-# target builds them on demand.  IN_ALL opts a binary into the default
-# build (the tools, and the examples exercised by CTest smoke tests).
+# Binaries stay out of the default build unless IN_ALL opts them in (the
+# tools, and every example, since a CTest smoke test runs each one); the
+# `examples` umbrella target builds the examples by name.
 function(lad_add_program name)
   cmake_parse_arguments(ARG "IN_ALL" "" "SOURCES;DEPS" ${ARGN})
   if(ARG_IN_ALL)

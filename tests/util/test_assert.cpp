@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/string_util.h"
+
 namespace lad {
 namespace {
 
@@ -30,6 +32,20 @@ TEST(Assert, RequireMsgCarriesCustomMessage) {
     FAIL() << "should have thrown";
   } catch (const AssertionError& e) {
     EXPECT_NE(std::string(e.what()).find("value was 42"), std::string::npos);
+  }
+}
+
+// The build maps the source directory away, so an error's location reads
+// the same wherever the tree was built.
+TEST(Assert, LocationIsRelativeToTheSourceTree) {
+  try {
+    checked_int(4294967297LL, "k");
+    FAIL() << "should have thrown";
+  } catch (const AssertionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" at src/util/string_util.cpp:"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find(LAD_SOURCE_DIR), std::string::npos) << what;
   }
 }
 
