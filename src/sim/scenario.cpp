@@ -1,7 +1,8 @@
 // ScenarioSpec parsing/validation, overrides, shard syntax, the localizer
-// registry, and tagged-CSV persistence.  Which sections, [sweep] axes and
-// optional keys a kind accepts comes from the kind table
-// (sim/scenario_kinds.h); the work-item expansion and execution live in
+// registry, and tagged-CSV persistence.  The `.scn` key schema (one row
+// per key, sim/scenario_kinds.h) is defined here and drives the parser;
+// which sections and [sweep] axes a kind accepts comes from the kind
+// table.  The work-item expansion and execution live in
 // scenario_runner.cpp.
 #include "sim/scenario.h"
 
@@ -9,7 +10,12 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
+#include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 
 #include "attack/adversary.h"
 #include "core/metric.h"
@@ -32,96 +38,142 @@ namespace lad {
 namespace {
 
 using detail::experiment_kinds;
+using detail::KeyDecl;
+using detail::KeyType;
 using detail::KindDecl;
+using detail::Range;
 
 constexpr std::uint64_t kDefaultScenarioSeed = 20050404;  // IPDPS 2005 opened
-
-const std::vector<std::string>& common_sections() {
-  static const std::vector<std::string> sections = {
-      "scenario", "pipeline", "quick", "sweep", "detector", "run", "output"};
-  return sections;
-}
-
-std::string key_name(const KvConfig::Section& s, const std::string& key) {
-  return "[" + s.name() + "] " + key;
-}
-
-int get_positive_int(const KvConfig::Section& s, const std::string& key,
-                     long long def) {
-  const long long v = s.get_int(key, def);
-  LAD_REQUIRE_MSG(v > 0, key_name(s, key) << " must be positive, got " << v);
-  return checked_int(v, key_name(s, key));
-}
-
-std::vector<MetricKind> parse_metrics(const KvConfig::Section& s) {
-  std::vector<MetricKind> out;
-  for (const std::string& name : s.get_string_list("metrics", {"diff"})) {
-    out.push_back(metric_from_name(name));
-  }
-  return out;
-}
-
-std::vector<AttackClass> parse_attacks(const KvConfig::Section& s) {
-  std::vector<AttackClass> out;
-  for (const std::string& name :
-       s.get_string_list("attacks", {"dec-bounded"})) {
-    out.push_back(attack_class_from_name(name));
-  }
-  return out;
-}
-
-std::vector<int> get_int_list(const KvConfig::Section& s,
-                              const std::string& key,
-                              const std::vector<int>& def) {
-  if (!s.has(key)) return def;
-  std::vector<int> out;
-  for (long long v : s.get_int_list(key, {})) {
-    out.push_back(checked_int(v, key_name(s, key)));
-  }
-  return out;
-}
-
-void require_non_empty(const std::vector<double>& v, const char* what) {
-  LAD_REQUIRE_MSG(!v.empty(), "sweep list '" << what << "' is empty");
-}
-
-const KindDecl& kind_from_name(const std::string& name) {
-  const std::string n = to_lower(name);
-  for (const KindDecl& kind : experiment_kinds()) {
-    if (n == kind.name) return kind;
-  }
-  LAD_REQUIRE_MSG(false, "unknown experiment kind: '" << name << "'");
-  return experiment_kinds().front();  // unreachable
-}
-
-GroupThresholdMode group_threshold_mode_from_name(const std::string& name) {
-  const std::string n = to_lower(name);
-  if (n == "global") return GroupThresholdMode::kGlobal;
-  if (n == "per_group") return GroupThresholdMode::kPerGroup;
-  LAD_REQUIRE_MSG(false, "unknown group-threshold mode '"
-                             << name << "' (known: global, per_group)");
-  return GroupThresholdMode::kGlobal;  // unreachable
-}
 
 // The localizer registry's names, without a pipeline (spec parsing).
 // truth-noise takes an optional finite sigma >= 0.
 bool is_known_localizer(const std::string& name) {
   if (name == "beaconless-mle" || name == "weighted-centroid" ||
-      name == "dv-hop" || name == "amorphous") {
+      name == "dv-hop" || name == "amorphous" || name == "truth-noise") {
     return true;
   }
-  if (name == "truth-noise" || starts_with(name, "truth-noise:")) {
-    if (name == "truth-noise") return true;
-    try {
-      const double sigma =
-          parse_double(name.substr(std::string("truth-noise:").size()));
-      return std::isfinite(sigma) && sigma >= 0.0;
-    } catch (const AssertionError&) {
-      return false;
-    }
+  if (!starts_with(name, "truth-noise:")) return false;
+  try {
+    const double sigma =
+        parse_double(name.substr(std::string("truth-noise:").size()));
+    return std::isfinite(sigma) && sigma >= 0.0;
+  } catch (const AssertionError&) {
+    return false;
   }
-  return false;
 }
+
+// --- the row dispatcher: every .scn value is read here -----------------
+
+template <class T>
+T in_range(const KeyDecl& key, T v) {
+  const double d = static_cast<double>(v);
+  LAD_REQUIRE_MSG(std::isfinite(d), key.id() << " must be finite, got " << v);
+  LAD_REQUIRE_MSG(key.range.contains(d), key.id() << " must be "
+                                                  << key.range.text()
+                                                  << ", got " << v);
+  return v;
+}
+
+// A name key's value.  Metrics, attack classes and shapes are parsed by
+// their own layer, which also takes aliases ("dm", "hexagonal"); the sim
+// layer's own enums are their row's names, in enumerator order.
+template <class T>
+T parse_name(const KeyDecl& key, const std::string& text) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    LAD_REQUIRE_MSG(is_known_localizer(text),
+                    key.id() << ": unknown localizer '" << text
+                             << "' (truth-noise:<sigma> needs a finite "
+                                "sigma >= 0)");
+    return text;
+  } else {
+    constexpr bool own_layer = std::is_same_v<T, MetricKind> ||
+                               std::is_same_v<T, AttackClass> ||
+                               std::is_same_v<T, DeploymentShape>;
+    try {
+      if constexpr (std::is_same_v<T, MetricKind>) {
+        return metric_from_name(text);
+      } else if constexpr (std::is_same_v<T, AttackClass>) {
+        return attack_class_from_name(text);
+      } else if constexpr (std::is_same_v<T, DeploymentShape>) {
+        return deployment_shape_from_name(text);
+      }
+    } catch (const AssertionError&) {
+    }
+    const auto it =
+        std::find(key.names.begin(), key.names.end(), to_lower(text));
+    LAD_REQUIRE_MSG(!own_layer && it != key.names.end(),
+                    key.id() << " must be one of " << join(key.names, ", ")
+                             << ", got '" << text << "'");
+    return static_cast<T>(it - key.names.begin());
+  }
+}
+
+using Section = KvConfig::Section;
+
+void assign(const KeyDecl& k, const Section& s, int& out) {
+  out = checked_int(in_range(k, s.get_int(k.key, 0)), k.id());
+}
+void assign(const KeyDecl& k, const Section& s, std::optional<int>& out) {
+  out = checked_int(in_range(k, s.get_int(k.key, 0)), k.id());
+}
+void assign(const KeyDecl& k, const Section& s, std::uint64_t& out) {
+  out = static_cast<std::uint64_t>(s.get_int(k.key, 0));
+}
+void assign(const KeyDecl& k, const Section& s, double& out) {
+  out = in_range(k, s.get_double(k.key, 0.0));
+}
+void assign(const KeyDecl& k, const Section& s, bool& out) {
+  out = s.get_bool(k.key, false);
+}
+void assign(const KeyDecl& k, const Section& s, std::string& out) {
+  out = s.get_string(k.key, "");
+}
+void assign(const KeyDecl& k, const Section& s, std::vector<int>& out) {
+  out.clear();
+  for (long long v : s.get_int_list(k.key, {})) {
+    out.push_back(checked_int(in_range(k, v), k.id()));
+  }
+}
+void assign(const KeyDecl& k, const Section& s, std::vector<double>& out) {
+  out = s.get_double_list(k.key, {});
+  for (double v : out) in_range(k, v);
+}
+template <class T>
+void assign(const KeyDecl& k, const Section& s, T& out) {
+  out = parse_name<T>(k, s.get_string(k.key, ""));
+}
+template <class T>
+void assign(const KeyDecl& k, const Section& s, std::vector<T>& out) {
+  out.clear();
+  for (const std::string& name : s.get_string_list(k.key, {})) {
+    out.push_back(parse_name<T>(k, name));
+  }
+}
+
+/// Reads `key` into its spec member when the spec sets it; returns whether
+/// it does.
+bool read_key(const KeyDecl& key, const KvConfig& config, ScenarioSpec& spec) {
+  const Section* s = config.find_section(key.section);
+  if (s == nullptr || !s->has(key.key)) return false;
+  std::visit([&](auto get) { assign(key, *s, get(spec)); }, key.member);
+  return true;
+}
+
+// The element type of a key's member, and whether the member is a list.
+template <class T>
+struct Element {
+  using type = T;
+  static constexpr bool list = false;
+};
+template <class T>
+struct Element<std::optional<T>> : Element<T> {};
+template <class T>
+struct Element<std::vector<T>> : Element<T> {
+  static constexpr bool list = true;
+};
+template <class F>
+using ElementOf = Element<std::remove_reference_t<
+    std::invoke_result_t<F, ScenarioSpec&>>>;
 
 }  // namespace
 
@@ -129,13 +181,155 @@ const char* experiment_kind_name(ExperimentKind kind) {
   return detail::kind_decl(kind).name;
 }
 
-const char* group_threshold_mode_name(GroupThresholdMode mode) {
-  switch (mode) {
-    case GroupThresholdMode::kGlobal: return "global";
-    case GroupThresholdMode::kPerGroup: return "per_group";
+namespace detail {
+
+std::string Range::text() const {
+  std::ostringstream os;
+  if (std::isfinite(lo) && std::isfinite(hi)) {
+    os << "in " << (lo_open ? '(' : '[') << lo << ',' << hi
+       << (hi_open ? ')' : ']');
+  } else if (std::isfinite(lo)) {
+    os << (lo_open ? "> " : ">= ") << lo;
+  } else if (std::isfinite(hi)) {
+    os << (hi_open ? "< " : "<= ") << hi;
   }
-  return "?";
+  return os.str();
 }
+
+KeyType KeyDecl::type() const {
+  return std::visit(
+      [this](auto get) {
+        using T = typename ElementOf<decltype(get)>::type;
+        if constexpr (std::is_same_v<T, bool>) return KeyType::kBool;
+        if constexpr (std::is_integral_v<T>) return KeyType::kInt;
+        if constexpr (std::is_floating_point_v<T>) return KeyType::kDouble;
+        return names.empty() ? KeyType::kString : KeyType::kName;
+      },
+      member);
+}
+
+bool KeyDecl::list() const {
+  return std::visit(
+      [](auto get) { return ElementOf<decltype(get)>::list; }, member);
+}
+
+// The member a row fills, as a Member<T> (sim/scenario_kinds.h).
+#define LAD_MEMBER(path) +[](ScenarioSpec& s) -> auto& { return s.path; }
+
+const std::vector<KeyDecl>& scenario_keys() {
+  static const std::vector<KeyDecl> keys = [] {
+    using K = ExperimentKind;
+    const Range positive{0, Range{}.hi, true};
+    const Range non_negative{0};
+    const Range unit{0, 1};
+    const Range open_unit{0, 1, true, true};
+    const std::vector<K> trial_kinds = {K::kCorrection, K::kEchoComparison,
+                                        K::kMmseVulnerability,
+                                        K::kTimeEvolving, K::kInNetwork};
+    const std::vector<std::string> shapes = {"grid", "hex", "random"};
+    const std::vector<std::string> modes(kGroupThresholdModeNames.begin(),
+                                         kGroupThresholdModeNames.end());
+    std::vector<std::string> kinds;
+    for (const KindDecl& kind : experiment_kinds()) kinds.push_back(kind.name);
+    const std::vector<std::pair<const char*, std::vector<KeyDecl>>> sections{
+        {"scenario",
+         {{"name", LAD_MEMBER(name)},
+          {"title", LAD_MEMBER(title)},
+          {"experiment", LAD_MEMBER(kind), {}, {}, kinds},
+          {"note", LAD_MEMBER(note)}}},
+        {"pipeline",
+         {{"seed", LAD_MEMBER(pipeline.seed)},
+          {"networks", LAD_MEMBER(pipeline.networks), positive},
+          {"victims", LAD_MEMBER(pipeline.victims_per_network), positive},
+          {"m", LAD_MEMBER(pipeline.deploy.nodes_per_group), positive},
+          {"r", LAD_MEMBER(pipeline.deploy.radio_range), positive},
+          {"sigma", LAD_MEMBER(pipeline.deploy.sigma), positive},
+          {"field", LAD_MEMBER(pipeline.deploy.field_side), positive},
+          {"grid_nx", LAD_MEMBER(pipeline.deploy.grid_nx), positive},
+          {"grid_ny", LAD_MEMBER(pipeline.deploy.grid_ny), positive},
+          {"gz_omega", LAD_MEMBER(pipeline.gz_omega), Range{kMinGzOmega}},
+          {"shape", LAD_MEMBER(pipeline.shape), {}, {}, shapes},
+          {"in_field_victims", LAD_MEMBER(pipeline.victims_in_field_only)}}},
+        {"quick",
+         {{"networks", LAD_MEMBER(quick.networks), positive},
+          {"victims", LAD_MEMBER(quick.victims), positive},
+          {"m", LAD_MEMBER(quick.m), positive},
+          {"trials", LAD_MEMBER(quick.trials), positive, trial_kinds},
+          {"dvhop_trials", LAD_MEMBER(quick.dvhop_trials), positive,
+           {K::kMmseVulnerability}},
+          {"densities", LAD_MEMBER(quick.densities), positive,
+           {K::kDensitySweep}}}},
+        {"sweep",
+         {{"shapes", LAD_MEMBER(shapes), {}, {}, shapes},
+          {"localizers", LAD_MEMBER(localizers), {}, {},
+           {"beaconless-mle", "weighted-centroid", "dv-hop", "amorphous",
+            "truth-noise"}},
+          {"metrics", LAD_MEMBER(metrics), {}, {}, {"diff", "add-all", "prob"}},
+          {"attacks", LAD_MEMBER(attacks), {}, {}, {"dec-bounded", "dec-only"}},
+          {"damages", LAD_MEMBER(damages), non_negative},
+          {"compromised", LAD_MEMBER(compromised), unit},
+          {"densities", LAD_MEMBER(densities), positive, {K::kDensitySweep}},
+          {"actual_sigmas", LAD_MEMBER(actual_sigmas), non_negative},
+          {"jitters", LAD_MEMBER(jitters), non_negative},
+          {"mismatch_coupling", LAD_MEMBER(mismatch_coupling), {}, {},
+           {"axes", "product"}},
+          {"group_thresholds", LAD_MEMBER(group_threshold_modes), {},
+           {K::kDrSweep}, modes}}},
+        {"detector",
+         {{"fp_budget", LAD_MEMBER(fp_budget), open_unit},
+          {"tau", LAD_MEMBER(tau), open_unit},
+          {"group_min_samples", LAD_MEMBER(group_min_samples), positive,
+           {K::kDrSweep}},
+          {"bundle", LAD_MEMBER(bundle), {}, {K::kMetricFusion}}}},
+        {"run", {{"jobs", LAD_MEMBER(jobs), positive}}},
+        {"output",
+         {{"fp_grid", LAD_MEMBER(fp_grid), unit, {K::kRoc}},
+          {"curve_points", LAD_MEMBER(curve_points), non_negative, {K::kRoc}},
+          {"loc_error", LAD_MEMBER(loc_error), {}, {K::kDrSweep}}}},
+        {"correction", {{"trials", LAD_MEMBER(trials), positive}}},
+        {"echo",
+         {{"trials", LAD_MEMBER(trials), positive},
+          {"grid_x", LAD_MEMBER(echo_grid_x), positive},
+          {"grid_y", LAD_MEMBER(echo_grid_y), positive},
+          {"range", LAD_MEMBER(echo_range), positive},
+          {"train_samples", LAD_MEMBER(train_samples), positive}}},
+        {"gz", {{"omegas", LAD_MEMBER(omegas), Range{kMinGzOmega}}}},
+        {"mmse",
+         {{"lies", LAD_MEMBER(lies), non_negative},
+          {"trials", LAD_MEMBER(trials), positive},
+          {"dvhop_lies", LAD_MEMBER(dvhop_lies), non_negative},
+          {"dvhop_trials", LAD_MEMBER(dvhop_trials), positive}}},
+        {"threshold",
+         {{"taus", LAD_MEMBER(taus), open_unit},
+          {"fudges", LAD_MEMBER(fudges), positive}}},
+        {"pdf", {{"grid", LAD_MEMBER(pdf_grid), Range{2}}}},
+        {"evolve",
+         {{"trials", LAD_MEMBER(trials), positive},
+          {"rounds", LAD_MEMBER(evolve_rounds), positive},
+          {"step", LAD_MEMBER(evolve_step), positive},
+          {"initial", LAD_MEMBER(evolve_initial), non_negative},
+          {"train_samples", LAD_MEMBER(train_samples), positive}}},
+        {"coop",
+         {{"trials", LAD_MEMBER(trials), positive},
+          {"radius", LAD_MEMBER(coop_radius), positive},
+          {"majority", LAD_MEMBER(coop_majority), Range{0, 1, true, false}},
+          {"train_samples", LAD_MEMBER(train_samples), positive}}},
+    };
+    std::vector<KeyDecl> rows;
+    for (const auto& [section, section_rows] : sections) {
+      for (KeyDecl row : section_rows) {
+        row.section = section;
+        rows.push_back(std::move(row));
+      }
+    }
+    return rows;
+  }();
+  return keys;
+}
+
+#undef LAD_MEMBER
+
+}  // namespace detail
 
 LocalizerFactory localizer_factory_from_name(const std::string& name,
                                              const Pipeline& pipeline) {
@@ -172,24 +366,29 @@ LocalizerFactory localizer_factory_from_name(const std::string& name,
 
 ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
   ScenarioSpec spec;
-  const KvConfig::Section& sc = config.section("scenario");
-  spec.name = sc.get_string("name", "");
-  LAD_REQUIRE_MSG(!spec.name.empty(),
+  spec.pipeline.seed = kDefaultScenarioSeed;
+  const std::vector<KeyDecl>& keys = detail::scenario_keys();
+  // [scenario] first: its experiment decides which sections and keys the
+  // rest of the spec may set.
+  const auto scenario_key = [&](std::string_view name) {
+    return read_key(*std::find_if(keys.begin(), keys.end(),
+                                  [&](const KeyDecl& key) {
+                                    return key.key == name;
+                                  }),
+                    config, spec);
+  };
+  LAD_REQUIRE_MSG(scenario_key("name") && !spec.name.empty(),
                   config.origin() << ": [scenario] name is required");
-  spec.title = sc.get_string("title", spec.name);
-  spec.note = sc.get_string("note", "");
-  const std::string kind_name = sc.get_string("experiment", "");
-  LAD_REQUIRE_MSG(!kind_name.empty(),
+  LAD_REQUIRE_MSG(scenario_key("experiment"),
                   config.origin() << ": [scenario] experiment is required");
-  const KindDecl& kind = kind_from_name(kind_name);
-  spec.kind = kind.kind;
+  if (!scenario_key("title")) spec.title = spec.name;
+  scenario_key("note");
+  const KindDecl& kind = detail::kind_decl(spec.kind);
 
   // Section allowlist is kind-aware: a [gz] section in a dr-sweep spec is
   // dead configuration and almost certainly a mistake.
   for (const KvConfig::Section& s : config.sections()) {
-    const auto& common = common_sections();
-    if (std::find(common.begin(), common.end(), s.name()) != common.end() ||
-        s.name() == kind.section) {
+    if (detail::is_common_section(s.name()) || s.name() == kind.section) {
       continue;
     }
     for (const KindDecl& other : experiment_kinds()) {
@@ -205,126 +404,30 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
 
   // The same for keys only some kinds read ("[quick] dvhop_trials" on a
   // gz-accuracy spec): each is rejected by name on every other kind.
-  for (const KindDecl& reader : experiment_kinds()) {
-    for (const std::string& key : reader.reads) {
-      const std::size_t close = key.find("] ");
-      const KvConfig::Section* section =
-          config.find_section(key.substr(1, close - 1));
-      if (section == nullptr || !section->has(key.substr(close + 2)) ||
-          kind.reads_key(key)) {
-        continue;
-      }
-      std::vector<std::string> readers;
-      for (const KindDecl& k : experiment_kinds()) {
-        if (k.reads_key(key)) readers.push_back(k.name);
-      }
-      LAD_REQUIRE_MSG(false, config.origin()
-                                 << ": " << key << " is only read by "
-                                 << join(readers, ", ") << " (this is "
-                                 << kind.name << ")");
+  for (const KeyDecl& key : keys) {
+    const KvConfig::Section* section = config.find_section(key.section);
+    if (key.read_by(spec.kind) || section == nullptr ||
+        !section->has(key.key)) {
+      continue;
     }
+    std::vector<std::string> readers;
+    for (ExperimentKind k : key.kinds) {
+      readers.push_back(experiment_kind_name(k));
+    }
+    LAD_REQUIRE_MSG(false, config.origin()
+                               << ": " << key.id() << " is only read by "
+                               << join(readers, ", ") << " (this is "
+                               << kind.name << ")");
   }
 
-  spec.pipeline.seed = kDefaultScenarioSeed;
-  if (const KvConfig::Section* p = config.find_section("pipeline")) {
-    spec.pipeline.seed = static_cast<std::uint64_t>(
-        p->get_int("seed", static_cast<long long>(kDefaultScenarioSeed)));
-    spec.pipeline.networks = get_positive_int(*p, "networks", 10);
-    spec.pipeline.victims_per_network = get_positive_int(*p, "victims", 200);
-    spec.pipeline.deploy.nodes_per_group = get_positive_int(*p, "m", 300);
-    spec.pipeline.deploy.radio_range = p->get_double("r", 50.0);
-    spec.pipeline.deploy.sigma = p->get_double("sigma", 50.0);
-    spec.pipeline.deploy.field_side = p->get_double("field", 1000.0);
-    spec.pipeline.deploy.grid_nx = get_positive_int(*p, "grid_nx", 10);
-    spec.pipeline.deploy.grid_ny = get_positive_int(*p, "grid_ny", 10);
-    spec.pipeline.gz_omega = get_positive_int(*p, "gz_omega", 256);
-    LAD_REQUIRE_MSG(spec.pipeline.gz_omega >= kMinGzOmega,
-                    "[pipeline] gz_omega must be >= " << kMinGzOmega
-                                                      << ", got "
-                                                      << spec.pipeline.gz_omega);
-    spec.pipeline.shape =
-        deployment_shape_from_name(p->get_string("shape", "grid"));
-    spec.pipeline.victims_in_field_only =
-        p->get_bool("in_field_victims", true);
-    spec.pipeline.deploy.validate();
+  for (const KeyDecl& key : keys) {
+    if (key.section != std::string_view("scenario")) {
+      read_key(key, config, spec);
+    }
   }
+  if (spec.shapes.empty()) spec.shapes = {spec.pipeline.shape};
+  spec.pipeline.deploy.validate();
 
-  if (const KvConfig::Section* q = config.find_section("quick")) {
-    if (q->has("networks")) spec.quick.networks = get_positive_int(*q, "networks", 3);
-    if (q->has("victims")) spec.quick.victims = get_positive_int(*q, "victims", 60);
-    if (q->has("m")) spec.quick.m = get_positive_int(*q, "m", 60);
-    if (q->has("trials")) spec.quick.trials = get_positive_int(*q, "trials", 60);
-    if (q->has("dvhop_trials")) {
-      spec.quick.dvhop_trials = get_positive_int(*q, "dvhop_trials", 30);
-    }
-    spec.quick.densities = get_int_list(*q, "densities", {});
-  }
-
-  spec.shapes = {spec.pipeline.shape};
-  spec.localizers = {"beaconless-mle"};
-  spec.metrics = {MetricKind::kDiff};
-  spec.attacks = {AttackClass::kDecBounded};
-  spec.damages = {120.0};
-  spec.compromised = {0.10};
-  spec.actual_sigmas = {0.0};
-  spec.jitters = {0.0};
-  if (const KvConfig::Section* s = config.find_section("sweep")) {
-    if (s->has("shapes")) {
-      spec.shapes.clear();
-      for (const std::string& n : s->get_string_list("shapes", {})) {
-        spec.shapes.push_back(deployment_shape_from_name(n));
-      }
-      LAD_REQUIRE_MSG(!spec.shapes.empty(), "sweep list 'shapes' is empty");
-    }
-    spec.localizers = s->get_string_list("localizers", spec.localizers);
-    LAD_REQUIRE_MSG(!spec.localizers.empty(),
-                    "sweep list 'localizers' is empty");
-    for (const std::string& n : spec.localizers) {
-      LAD_REQUIRE_MSG(is_known_localizer(n),
-                      "[sweep] localizers: unknown localizer '"
-                          << n << "' (truth-noise:<sigma> needs a finite "
-                                  "sigma >= 0)");
-    }
-    if (s->has("metrics")) spec.metrics = parse_metrics(*s);
-    LAD_REQUIRE_MSG(!spec.metrics.empty(), "sweep list 'metrics' is empty");
-    if (s->has("attacks")) spec.attacks = parse_attacks(*s);
-    LAD_REQUIRE_MSG(!spec.attacks.empty(), "sweep list 'attacks' is empty");
-    spec.damages = s->get_double_list("damages", spec.damages);
-    require_non_empty(spec.damages, "damages");
-    for (double d : spec.damages) {
-      LAD_REQUIRE_MSG(d >= 0, "[sweep] damages must be >= 0, got " << d);
-    }
-    spec.compromised = s->get_double_list("compromised", spec.compromised);
-    require_non_empty(spec.compromised, "compromised");
-    for (double x : spec.compromised) {
-      LAD_REQUIRE_MSG(x >= 0 && x <= 1,
-                      "[sweep] compromised must be in [0,1], got " << x);
-    }
-    spec.densities = get_int_list(*s, "densities", {});
-    spec.actual_sigmas = s->get_double_list("actual_sigmas", spec.actual_sigmas);
-    require_non_empty(spec.actual_sigmas, "actual_sigmas");
-    spec.jitters = s->get_double_list("jitters", spec.jitters);
-    require_non_empty(spec.jitters, "jitters");
-    const std::string coupling = s->get_string("mismatch_coupling", "axes");
-    if (coupling == "axes") {
-      spec.mismatch_coupling = MismatchCoupling::kAxes;
-    } else if (coupling == "product") {
-      spec.mismatch_coupling = MismatchCoupling::kProduct;
-    } else {
-      LAD_REQUIRE_MSG(false, "[sweep] mismatch_coupling must be 'axes' or "
-                             "'product', got '"
-                                 << coupling << "'");
-    }
-    if (s->has("group_thresholds")) {
-      spec.group_threshold_modes.clear();
-      for (const std::string& n : s->get_string_list("group_thresholds", {})) {
-        spec.group_threshold_modes.push_back(
-            group_threshold_mode_from_name(n));
-      }
-      LAD_REQUIRE_MSG(!spec.group_threshold_modes.empty(),
-                      "sweep list 'group_thresholds' is empty");
-    }
-  }
   // Reject multi-valued axes the kind does not expand: the runner would
   // silently use only the first value, which breaks the fail-fast contract.
   for (const auto& [axis, n] : std::vector<std::pair<const char*, std::size_t>>{
@@ -340,105 +443,6 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
                     "experiment '" << kind.name << "' does not sweep [sweep] "
                                    << axis << " (got " << n
                                    << " values; only the first would run)");
-  }
-
-  if (const KvConfig::Section* d = config.find_section("detector")) {
-    spec.fp_budget = d->get_double("fp_budget", spec.fp_budget);
-    spec.tau = d->get_double("tau", spec.tau);
-    spec.group_min_samples =
-        get_positive_int(*d, "group_min_samples", spec.group_min_samples);
-    spec.bundle = d->get_string("bundle", "");
-  }
-  LAD_REQUIRE_MSG(spec.fp_budget > 0 && spec.fp_budget < 1,
-                  "[detector] fp_budget must be in (0,1)");
-  LAD_REQUIRE_MSG(spec.tau > 0 && spec.tau < 1,
-                  "[detector] tau must be in (0,1)");
-
-  if (const KvConfig::Section* r = config.find_section("run")) {
-    spec.jobs = get_positive_int(*r, "jobs", 1);
-  }
-
-  spec.fp_grid = {0.01, 0.02, 0.05, 0.1, 0.2, 0.5};
-  if (const KvConfig::Section* o = config.find_section("output")) {
-    spec.fp_grid = o->get_double_list("fp_grid", spec.fp_grid);
-    require_non_empty(spec.fp_grid, "fp_grid");
-    const long long pts = o->get_int("curve_points", spec.curve_points);
-    LAD_REQUIRE_MSG(pts >= 0, "[output] curve_points must be >= 0");
-    spec.curve_points = checked_int(pts, "[output] curve_points");
-    spec.loc_error = o->get_bool("loc_error", spec.loc_error);
-  }
-
-  if (const KvConfig::Section* c = config.find_section("correction")) {
-    spec.trials = get_positive_int(*c, "trials", spec.trials);
-  }
-  if (const KvConfig::Section* e = config.find_section("echo")) {
-    spec.trials = get_positive_int(*e, "trials", spec.trials);
-    spec.echo_grid_x = get_positive_int(*e, "grid_x", spec.echo_grid_x);
-    spec.echo_grid_y = get_positive_int(*e, "grid_y", spec.echo_grid_y);
-    spec.echo_range = e->get_double("range", spec.echo_range);
-    LAD_REQUIRE_MSG(spec.echo_range > 0,
-                    "[echo] range must be > 0, got " << spec.echo_range);
-    spec.train_samples =
-        get_positive_int(*e, "train_samples", spec.train_samples);
-  }
-  spec.omegas = {8, 16, 32, 64, 128, 256, 512, 1024, 4096};
-  if (const KvConfig::Section* g = config.find_section("gz")) {
-    spec.omegas = get_int_list(*g, "omegas", spec.omegas);
-    LAD_REQUIRE_MSG(!spec.omegas.empty(), "sweep list 'omegas' is empty");
-    for (int omega : spec.omegas) {
-      LAD_REQUIRE_MSG(omega >= kMinGzOmega, "[gz] omegas must be >= "
-                                                << kMinGzOmega << ", got "
-                                                << omega);
-    }
-  }
-  spec.lies = {0, 100, 200, 400, 800, 1600, 3200};
-  spec.dvhop_lies = {0, 400, 1600};
-  if (const KvConfig::Section* m = config.find_section("mmse")) {
-    spec.lies = m->get_double_list("lies", spec.lies);
-    require_non_empty(spec.lies, "lies");
-    spec.trials = get_positive_int(*m, "trials", spec.trials);
-    spec.dvhop_lies = m->get_double_list("dvhop_lies", spec.dvhop_lies);
-    spec.dvhop_trials = get_positive_int(*m, "dvhop_trials", spec.dvhop_trials);
-  }
-  spec.taus = {0.90, 0.95, 0.99, 0.999};
-  spec.fudges = {0.5, 0.75, 1.0, 1.25, 1.5, 2.0};
-  if (const KvConfig::Section* t = config.find_section("threshold")) {
-    spec.taus = t->get_double_list("taus", spec.taus);
-    spec.fudges = t->get_double_list("fudges", spec.fudges);
-    for (double tau : spec.taus) {
-      LAD_REQUIRE_MSG(tau > 0 && tau < 1, "[threshold] taus must be in (0,1)");
-    }
-    for (double fudge : spec.fudges) {
-      LAD_REQUIRE_MSG(fudge > 0,
-                      "[threshold] fudges must be > 0, got " << fudge);
-    }
-  }
-  if (const KvConfig::Section* p = config.find_section("pdf")) {
-    spec.pdf_grid = get_positive_int(*p, "grid", spec.pdf_grid);
-    LAD_REQUIRE_MSG(spec.pdf_grid >= 2, "[pdf] grid must be >= 2");
-  }
-  if (const KvConfig::Section* e = config.find_section("evolve")) {
-    spec.trials = get_positive_int(*e, "trials", spec.trials);
-    spec.evolve_rounds = get_positive_int(*e, "rounds", spec.evolve_rounds);
-    spec.evolve_step = get_positive_int(*e, "step", spec.evolve_step);
-    const long long initial = e->get_int("initial", spec.evolve_initial);
-    LAD_REQUIRE_MSG(initial >= 0,
-                    "[evolve] initial must be >= 0, got " << initial);
-    spec.evolve_initial = checked_int(initial, "[evolve] initial");
-    spec.train_samples =
-        get_positive_int(*e, "train_samples", spec.train_samples);
-  }
-  if (const KvConfig::Section* c = config.find_section("coop")) {
-    spec.trials = get_positive_int(*c, "trials", spec.trials);
-    spec.coop_radius = c->get_double("radius", spec.coop_radius);
-    LAD_REQUIRE_MSG(spec.coop_radius > 0, "[coop] radius must be > 0, got "
-                                              << spec.coop_radius);
-    spec.coop_majority = c->get_double("majority", spec.coop_majority);
-    LAD_REQUIRE_MSG(spec.coop_majority > 0 && spec.coop_majority <= 1,
-                    "[coop] majority must be in (0,1], got "
-                        << spec.coop_majority);
-    spec.train_samples =
-        get_positive_int(*c, "train_samples", spec.train_samples);
   }
 
   const std::vector<std::string> unknown = config.unused();

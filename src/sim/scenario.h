@@ -63,8 +63,6 @@ enum class MismatchCoupling { kAxes, kProduct };
 /// buckets (min-samples fallback to the pooled value).
 enum class GroupThresholdMode { kGlobal, kPerGroup };
 
-const char* group_threshold_mode_name(GroupThresholdMode mode);
-
 /// Reduced sample counts applied in quick (CI smoke) mode; every field is
 /// optional so specs only override what matters for their kind.
 struct QuickOverrides {
@@ -76,6 +74,8 @@ struct QuickOverrides {
   std::vector<int> densities;  ///< empty = keep the full density list
 };
 
+/// A member's initializer is the default of the `.scn` key that fills it
+/// (sim/scenario_kinds.h lists the keys), except for the seed, 20050404.
 struct ScenarioSpec {
   // [scenario]
   std::string name;
@@ -90,15 +90,15 @@ struct ScenarioSpec {
   QuickOverrides quick;
 
   // [sweep] axes (unused axes keep their single-element defaults)
-  std::vector<DeploymentShape> shapes;
-  std::vector<std::string> localizers;  ///< registry names, see below
-  std::vector<MetricKind> metrics;
-  std::vector<AttackClass> attacks;
-  std::vector<double> damages;
-  std::vector<double> compromised;
+  std::vector<DeploymentShape> shapes;  ///< empty: {pipeline.shape}
+  std::vector<std::string> localizers = {"beaconless-mle"};  ///< see below
+  std::vector<MetricKind> metrics = {MetricKind::kDiff};
+  std::vector<AttackClass> attacks = {AttackClass::kDecBounded};
+  std::vector<double> damages = {120.0};
+  std::vector<double> compromised = {0.10};
   std::vector<int> densities;
-  std::vector<double> actual_sigmas;
-  std::vector<double> jitters;
+  std::vector<double> actual_sigmas = {0.0};
+  std::vector<double> jitters = {0.0};
   MismatchCoupling mismatch_coupling = MismatchCoupling::kAxes;
   /// dr-sweep only: `group_thresholds = global, per_group` sweeps both
   /// training modes; when per_group appears, the dr table grows
@@ -127,22 +127,23 @@ struct ScenarioSpec {
   int jobs = 1;
 
   // [output]
-  std::vector<double> fp_grid;  ///< ROC summary columns
+  /// ROC summary columns: DR at each of these FP rates.
+  std::vector<double> fp_grid = {0.01, 0.02, 0.05, 0.1, 0.2, 0.5};
   int curve_points = 60;        ///< max ROC curve rows per item; 0 = omit
   bool loc_error = false;       ///< add a localization-error column (dr-sweep)
 
   // [correction] / [echo] / [gz] / [mmse] / [threshold] / [pdf]
   int trials = 300;
   int pdf_grid = 13;
-  std::vector<int> omegas;
-  std::vector<double> lies;
-  std::vector<double> dvhop_lies;
+  std::vector<int> omegas = {8, 16, 32, 64, 128, 256, 512, 1024, 4096};
+  std::vector<double> lies = {0, 100, 200, 400, 800, 1600, 3200};
+  std::vector<double> dvhop_lies = {0, 400, 1600};
   int dvhop_trials = 100;
   int echo_grid_x = 4;
   int echo_grid_y = 4;
   double echo_range = 200.0;
-  std::vector<double> taus;
-  std::vector<double> fudges;
+  std::vector<double> taus = {0.90, 0.95, 0.99, 0.999};
+  std::vector<double> fudges = {0.5, 0.75, 1.0, 1.25, 1.5, 2.0};
 
   // [evolve] - time-evolving compromise: the attacker corrupts
   // `initial + round * step` beacons in round 0..rounds-1.
@@ -161,7 +162,7 @@ struct ScenarioSpec {
   int train_samples = 400;
 
   /// Builds a spec from parsed config text.  Rejects unknown sections and
-  /// keys, bad enum values, and empty sweep lists with precise messages.
+  /// keys, bad names and out-of-range values with messages naming the key.
   static ScenarioSpec from_config(const KvConfig& config);
   static ScenarioSpec load(const std::string& path);
 };

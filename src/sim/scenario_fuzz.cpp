@@ -1,9 +1,10 @@
 #include "sim/scenario_fuzz.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <string_view>
 
-#include "deploy/gz_table.h"
 #include "rng/rng.h"
 #include "sim/scenario.h"
 #include "sim/scenario_kinds.h"
@@ -16,14 +17,17 @@ namespace lad {
 namespace {
 
 using detail::experiment_kinds;
+using detail::KeyDecl;
+using detail::KeyType;
 using detail::KindDecl;
+using detail::Range;
+using detail::scenario_keys;
 
 // ---------------------------------------------------------------------
 // Small drawing helpers over Rng (all deterministic per rng state).
 
-int draw_int(Rng& rng, int lo, int hi) {
-  return static_cast<int>(rng.uniform_int(static_cast<long long>(lo),
-                                          static_cast<long long>(hi)));
+long long draw(Rng& rng, long long lo, long long hi) {
+  return rng.uniform_int(lo, hi);
 }
 
 bool chance(Rng& rng, double p) { return rng.uniform01() < p; }
@@ -34,46 +38,94 @@ const T& pick(Rng& rng, const std::vector<T>& options) {
       rng.uniform_int(static_cast<std::uint64_t>(options.size())))];
 }
 
-std::string fmt(double v, int decimals) {
-  return format_double(v, decimals);
+// ---------------------------------------------------------------------
+// Values drawn from a key row.
+
+// The values a numeric key draws from: base + k * unit for k in
+// [kmin, kmax], inside the key's range (open ends excluded) and exact at
+// `decimals` digits.  An unbounded end is capped 40 integers or 400 units
+// past the other.
+struct Grid {
+  double base;
+  double unit;
+  long long kmin;
+  long long kmax;
+  int decimals;
+
+  std::string step(long long k) const {
+    return format_double(static_cast<double>(k) * unit, decimals);
+  }
+  std::string at(long long k) const {
+    return format_double(base + static_cast<double>(k) * unit, decimals);
+  }
+};
+
+Grid grid_of(const KeyDecl& key) {
+  const Range& r = key.range;
+  const double lo = std::isfinite(r.lo) ? r.lo : 0.0;
+  const long long kmin = r.lo_open ? 1 : 0;
+  if (key.type() == KeyType::kInt) {
+    const double span = std::isfinite(r.hi) ? r.hi - lo : 40.0;
+    return {lo, 1.0, kmin, static_cast<long long>(span) - (r.hi_open ? 1 : 0),
+            0};
+  }
+  const double hi = std::isfinite(r.hi) ? r.hi : lo + 400.0;
+  return {lo, (hi - lo) / 100, kmin, r.hi_open ? 99 : 100, 2};
 }
 
-// A comma list of `n` doubles drawn from [lo, hi], strictly increasing so
-// it can also render as a lo:hi:step range.
-std::string double_values(Rng& rng, int n, double lo, double hi,
-                          int decimals) {
-  // Range syntax with a positive step; bounded expansion by construction.
+// `n` values of a numeric key: a comma list or, sometimes, one
+// lo:hi:step range.
+std::string numbers(Rng& rng, const KeyDecl& key, int n) {
+  const Grid g = grid_of(key);
   if (n > 1 && chance(rng, 0.35)) {
-    const double start = rng.uniform(lo, (lo + hi) / 2);
-    const double step = rng.uniform((hi - start) / (4 * n), (hi - start) / n);
-    const double stop = start + (n - 1) * step;
-    return fmt(start, decimals) + ":" + fmt(stop, decimals) + ":" +
-           fmt(step, decimals);
+    const long long start = draw(rng, g.kmin, (g.kmin + g.kmax) / 2);
+    const long long step =
+        draw(rng, 1, std::max(1LL, (g.kmax - start) / (n - 1)));
+    return g.at(start) + ":" + g.at(start + (n - 1) * step) + ":" +
+           g.step(step);
   }
   std::vector<std::string> out;
-  double v = lo;
-  for (int i = 0; i < n; ++i) {
-    v += rng.uniform(0.0, (hi - lo) / n);
-    out.push_back(fmt(std::min(v, hi), decimals));
-  }
+  for (int i = 0; i < n; ++i) out.push_back(g.at(draw(rng, g.kmin, g.kmax)));
   return join(out, ", ");
 }
 
-std::string int_values(Rng& rng, int n, int lo, int hi) {
-  if (n > 1 && chance(rng, 0.35)) {
-    const int start = draw_int(rng, lo, (lo + hi) / 2);
-    const int step = std::max(1, (hi - start) / std::max(1, 2 * n));
-    return std::to_string(start) + ":" +
-           std::to_string(start + (n - 1) * step) + ":" +
-           std::to_string(step);
+// A value of `key` the parser accepts; a list key gets up to `n` elements.
+std::string valid_value(Rng& rng, const KeyDecl& key, int n) {
+  switch (key.type()) {
+    case KeyType::kInt:
+    case KeyType::kDouble:
+      return numbers(rng, key, n);
+    case KeyType::kBool:
+      return pick(rng, std::vector<std::string>{"true", "false", "yes", "no",
+                                                "1", "0", "on", "off"});
+    case KeyType::kString:
+      return "fuzz_" + std::to_string(draw(rng, 0, 9999));
+    case KeyType::kName:
+      break;
   }
-  std::vector<std::string> out;
-  int v = lo;
-  for (int i = 0; i < n; ++i) {
-    v += draw_int(rng, 1, std::max(1, (hi - lo) / std::max(1, n)));
-    out.push_back(std::to_string(std::min(v, hi)));
+  // Distinct names: the first n of a partial shuffle.
+  std::vector<std::string> names = key.names;
+  const std::size_t count = std::min(names.size(), static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < count; ++i) {
+    std::swap(names[i], names[static_cast<std::size_t>(draw(
+                            rng, static_cast<long long>(i),
+                            static_cast<long long>(names.size()) - 1))]);
   }
-  return join(out, ", ");
+  names.resize(count);
+  return join(names, ", ");
+}
+
+// A value just outside `key`'s range, or, for a double, a non-finite one.
+std::string outside(Rng& rng, const KeyDecl& key) {
+  const Range& r = key.range;
+  if (key.type() == KeyType::kDouble && (!r.bounded() || chance(rng, 0.3))) {
+    return pick(rng, std::vector<std::string>{"nan", "inf", "-inf"});
+  }
+  const bool below =
+      std::isfinite(r.lo) && (!std::isfinite(r.hi) || chance(rng, 0.5));
+  const double edge = below ? r.lo : r.hi;
+  const bool open = below ? r.lo_open : r.hi_open;
+  return format_double(open ? edge : below ? edge - 1 : edge + 1, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -111,218 +163,27 @@ class ScnWriter {
   std::string text_;
 };
 
-int axis_n(Rng& rng, bool multi) { return multi ? draw_int(rng, 1, 4) : 1; }
-
-// The axes and optional keys a kind accepts come from its kind-table
-// entry, so every kind is generated against the schema the parser checks.
-void emit_sweep(ScnWriter& w, Rng& rng, const KindDecl& kind) {
-  w.section("sweep");
-  bool any = false;
-  if (chance(rng, 0.7)) {
-    std::vector<std::string> ms = {"diff", "add-all", "prob"};
-    const int n = std::min(axis_n(rng, kind.expands("metrics")), 3);
-    ms.resize(static_cast<std::size_t>(n));
-    w.kv("metrics", join(ms, ", "));
-    any = true;
-  }
-  if (chance(rng, 0.7)) {
-    std::vector<std::string> as = {"dec-bounded", "dec-only"};
-    const int n = std::min(axis_n(rng, kind.expands("attacks")), 2);
-    as.resize(static_cast<std::size_t>(n));
-    w.kv("attacks", join(as, ", "));
-    any = true;
-  }
-  if (chance(rng, 0.8)) {
-    w.kv("damages", double_values(rng, axis_n(rng, kind.expands("damages")),
-                                  40, 400, 0));
-    any = true;
-  }
-  if (chance(rng, 0.7)) {
-    w.kv("compromised",
-         double_values(rng, axis_n(rng, kind.expands("compromised")), 0.05,
-                       0.4, 2));
-    any = true;
-  }
-  // A kind that reads densities sweeps nothing without them.
-  if (kind.reads_key("[sweep] densities")) {
-    w.kv("densities", int_values(rng, draw_int(rng, 1, 3), 50, 400));
-    any = true;
-  }
-  if (kind.expands("shapes") && chance(rng, 0.5)) w.kv("shapes", "grid, hex");
-  if (kind.expands("localizers") && chance(rng, 0.5)) {
-    w.kv("localizers", "beaconless-mle, weighted-centroid");
-  }
-  if (kind.expands("actual_sigmas") && chance(rng, 0.4)) {
-    w.kv("actual_sigmas", double_values(rng, draw_int(rng, 1, 3), 20, 80, 0));
-    w.kv("mismatch_coupling", chance(rng, 0.5) ? "axes" : "product");
-  }
-  if (kind.expands("jitters") && chance(rng, 0.4)) {
-    w.kv("jitters", double_values(rng, draw_int(rng, 1, 2), 0.5, 10, 1));
-  }
-  if (kind.reads_key("[sweep] group_thresholds") && chance(rng, 0.4)) {
-    w.kv("group_thresholds", "global, per_group");
-  }
-  // An empty [sweep] section is legal (all axes default); keep it
-  // sometimes, but usually guarantee at least one key above.
-  if (!any && chance(rng, 0.5)) {
-    w.kv("damages", double_values(rng, axis_n(rng, kind.expands("damages")),
-                                  40, 400, 0));
-  }
-}
-
-void emit_kind_section(ScnWriter& w, Rng& rng, const KindDecl& kind) {
-  const std::string section = kind.section;
-  if (section.empty()) return;
-  w.section(section);
-  if (section == "pdf") {
-    w.kv("grid", std::to_string(draw_int(rng, 2, 12)));
-  } else if (section == "gz") {
-    w.kv("omegas", int_values(rng, draw_int(rng, 1, 4), kMinGzOmega, 256));
-  } else if (section == "correction") {
-    w.kv("trials", std::to_string(draw_int(rng, 2, 40)));
-  } else if (section == "echo") {
-    if (chance(rng, 0.7)) w.kv("trials", std::to_string(draw_int(rng, 2, 40)));
-    if (chance(rng, 0.5)) {
-      w.kv("grid_x", std::to_string(draw_int(rng, 2, 8)));
-      w.kv("grid_y", std::to_string(draw_int(rng, 2, 8)));
-    }
-    if (chance(rng, 0.5)) w.kv("range", fmt(rng.uniform(20, 120), 0));
-    if (chance(rng, 0.5)) {
-      w.kv("train_samples", std::to_string(draw_int(rng, 20, 200)));
-    }
-  } else if (section == "mmse") {
-    w.kv("lies", double_values(rng, draw_int(rng, 1, 4), 0, 3200, 0));
-    if (chance(rng, 0.6)) {
-      // An empty dvhop_lies list is expressed by omitting the key, not by
-      // an empty value (the parser rejects "dvhop_lies =").
-      w.kv("dvhop_lies",
-           double_values(rng, draw_int(rng, 1, 3), 0, 1600, 0));
-    }
-    if (chance(rng, 0.5)) w.kv("trials", std::to_string(draw_int(rng, 2, 40)));
-    if (chance(rng, 0.5)) {
-      w.kv("dvhop_trials", std::to_string(draw_int(rng, 2, 20)));
-    }
-  } else if (section == "threshold") {
-    // taus and/or fudges must survive; emit at least one non-empty.
-    const bool taus = chance(rng, 0.8);
-    if (taus) {
-      w.kv("taus", double_values(rng, draw_int(rng, 1, 4), 0.9, 0.999, 3));
-    }
-    if (!taus || chance(rng, 0.5)) {
-      w.kv("fudges", double_values(rng, draw_int(rng, 1, 4), 0.5, 2.0, 2));
-    }
-  } else if (section == "evolve") {
-    if (chance(rng, 0.7)) w.kv("trials", std::to_string(draw_int(rng, 2, 40)));
-    if (chance(rng, 0.7)) w.kv("rounds", std::to_string(draw_int(rng, 1, 10)));
-    if (chance(rng, 0.5)) w.kv("step", std::to_string(draw_int(rng, 1, 8)));
-    if (chance(rng, 0.5)) w.kv("initial", std::to_string(draw_int(rng, 0, 6)));
-    if (chance(rng, 0.5)) {
-      w.kv("train_samples", std::to_string(draw_int(rng, 20, 200)));
-    }
-  } else if (section == "coop") {
-    if (chance(rng, 0.7)) w.kv("trials", std::to_string(draw_int(rng, 2, 40)));
-    if (chance(rng, 0.5)) w.kv("radius", fmt(rng.uniform(40, 200), 0));
-    if (chance(rng, 0.5)) w.kv("majority", fmt(rng.uniform(0.2, 1.0), 2));
-    if (chance(rng, 0.5)) {
-      w.kv("train_samples", std::to_string(draw_int(rng, 20, 200)));
-    }
-  }
-}
-
-/// A random valid spec of `kind` (see generate_valid_scn).
+/// A random valid spec of `kind` (see generate_valid_scn): any key row the
+/// kind accepts may appear.  `[scenario] name` and `experiment` always do,
+/// and so does every [sweep] axis the kind expands (density-sweep has no
+/// default densities); only those axes take several values.
 std::string generate_scn(Rng& rng, const KindDecl& kind) {
   ScnWriter w(rng);
-
-  w.section("scenario");
-  w.kv("name", "fuzz_" + std::to_string(draw_int(rng, 0, 9999)));
-  w.kv("experiment", kind.name);
-  if (chance(rng, 0.4)) w.kv("title", "fuzzed spec");
-  if (chance(rng, 0.3)) w.kv("note", "generated by scenario_fuzz");
-
-  if (chance(rng, 0.8)) {
-    w.section("pipeline");
-    if (chance(rng, 0.7)) {
-      w.kv("seed", std::to_string(draw_int(rng, 1, 100000)));
+  std::string section;
+  for (const KeyDecl& key : scenario_keys()) {
+    const std::string_view name = key.key;
+    const bool sweep = key.section == std::string_view("sweep");
+    const bool axis = sweep && kind.expands(key.key);
+    const bool required = name == "name" || name == "experiment";
+    if (!kind.accepts(key) || !(required || axis || chance(rng, 0.4))) {
+      continue;
     }
-    if (chance(rng, 0.6)) w.kv("networks", std::to_string(draw_int(rng, 1, 8)));
-    if (chance(rng, 0.6)) {
-      w.kv("victims", std::to_string(draw_int(rng, 1, 200)));
-    }
-    if (chance(rng, 0.7)) w.kv("m", std::to_string(draw_int(rng, 10, 300)));
-    if (chance(rng, 0.6)) w.kv("r", fmt(rng.uniform(20, 90), 0));
-    if (chance(rng, 0.6)) w.kv("sigma", fmt(rng.uniform(10, 80), 0));
-    if (chance(rng, 0.5)) w.kv("field", fmt(rng.uniform(400, 1200), 0));
-    if (chance(rng, 0.5)) {
-      w.kv("grid_nx", std::to_string(draw_int(rng, 2, 12)));
-      w.kv("grid_ny", std::to_string(draw_int(rng, 2, 12)));
-    }
-    if (chance(rng, 0.3)) {
-      w.kv("gz_omega", std::to_string(draw_int(rng, kMinGzOmega, 512)));
-    }
-    if (chance(rng, 0.4)) {
-      w.kv("shape", pick(rng, std::vector<std::string>{
-                                  "grid", "hex", "hexagonal", "random",
-                                  "random-known"}));
-    }
-    if (chance(rng, 0.3)) {
-      w.kv("in_field_victims",
-           pick(rng, std::vector<std::string>{"true", "false", "yes", "no",
-                                              "1", "0", "on", "off"}));
-    }
+    if (section != key.section) w.section(section = key.section);
+    const int n = key.list() && (!sweep || axis)
+                      ? static_cast<int>(draw(rng, 1, 3))
+                      : 1;
+    w.kv(key.key, name == "experiment" ? kind.name : valid_value(rng, key, n));
   }
-
-  if (chance(rng, 0.4)) {
-    w.section("quick");
-    if (chance(rng, 0.6)) w.kv("networks", std::to_string(draw_int(rng, 1, 3)));
-    if (chance(rng, 0.6)) w.kv("victims", std::to_string(draw_int(rng, 1, 60)));
-    if (chance(rng, 0.4)) w.kv("m", std::to_string(draw_int(rng, 10, 60)));
-    if (kind.reads_key("[quick] trials") && chance(rng, 0.6)) {
-      w.kv("trials", std::to_string(draw_int(rng, 2, 60)));
-    }
-    if (kind.reads_key("[quick] dvhop_trials") && chance(rng, 0.3)) {
-      w.kv("dvhop_trials", std::to_string(draw_int(rng, 2, 30)));
-    }
-    if (kind.reads_key("[quick] densities") && chance(rng, 0.5)) {
-      w.kv("densities", int_values(rng, draw_int(rng, 1, 2), 50, 200));
-    }
-  }
-
-  if (kind.reads_key("[sweep] densities") || chance(rng, 0.8)) {
-    emit_sweep(w, rng, kind);
-  }
-
-  if (chance(rng, 0.6)) {
-    w.section("detector");
-    if (chance(rng, 0.6)) w.kv("tau", fmt(rng.uniform(0.5, 0.999), 3));
-    if (chance(rng, 0.5)) w.kv("fp_budget", fmt(rng.uniform(0.005, 0.2), 3));
-    if (kind.reads_key("[detector] group_min_samples") && chance(rng, 0.4)) {
-      w.kv("group_min_samples", std::to_string(draw_int(rng, 1, 200)));
-    }
-    if (kind.reads_key("[detector] bundle") && chance(rng, 0.3)) {
-      // Parse-time valid; only an actual run would open the file.
-      w.kv("bundle", "artifacts/fuzz.lad");
-    }
-  }
-
-  if (chance(rng, 0.4)) {
-    w.section("run");
-    w.kv("jobs", std::to_string(draw_int(rng, 1, 8)));
-  }
-
-  if (chance(rng, 0.4)) {
-    w.section("output");
-    if (kind.reads_key("[output] fp_grid") && chance(rng, 0.6)) {
-      w.kv("fp_grid", double_values(rng, draw_int(rng, 1, 5), 0.01, 0.5, 2));
-    }
-    if (kind.reads_key("[output] curve_points") && chance(rng, 0.5)) {
-      w.kv("curve_points", std::to_string(draw_int(rng, 0, 40)));
-    }
-    if (kind.reads_key("[output] loc_error") && chance(rng, 0.3)) {
-      w.kv("loc_error", chance(rng, 0.5) ? "true" : "false");
-    }
-  }
-
-  emit_kind_section(w, rng, kind);
   return w.text();
 }
 
@@ -366,61 +227,6 @@ bool is_section_header(const std::string& line) {
   return !t.empty() && t.front() == '[' && t.back() == ']';
 }
 
-std::string section_name_of(const std::string& header) {
-  const std::string t{trim(header)};
-  return std::string{trim(t.substr(1, t.size() - 2))};
-}
-
-/// Index just after the header of `section`, or npos.
-std::size_t after_section_header(const std::vector<std::string>& lines,
-                                 const std::string& section) {
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (is_section_header(lines[i]) && section_name_of(lines[i]) == section) {
-      return i + 1;
-    }
-  }
-  return std::string::npos;
-}
-
-/// True when the (trimmed) line assigns exactly `key` (not a key that
-/// merely starts with it: "m" must not match "metrics" or "majority").
-bool line_sets_key(const std::string& line, const std::string& key) {
-  const std::string t{trim(line)};
-  if (t.rfind(key, 0) != 0) return false;
-  std::string_view rest = std::string_view(t).substr(key.size());
-  while (!rest.empty() && (rest.front() == ' ' || rest.front() == '\t')) {
-    rest.remove_prefix(1);
-  }
-  return !rest.empty() && rest.front() == '=';
-}
-
-/// Removes every line assigning `key` (any section).
-void drop_key(std::vector<std::string>& lines, const std::string& key) {
-  lines.erase(std::remove_if(lines.begin(), lines.end(),
-                             [&](const std::string& l) {
-                               return line_sets_key(l, key);
-                             }),
-              lines.end());
-}
-
-std::string experiment_of(const std::vector<std::string>& lines) {
-  for (const std::string& l : lines) {
-    if (line_sets_key(l, "experiment")) {
-      const std::string t{trim(l)};
-      return std::string{trim(t.substr(t.find('=') + 1))};
-    }
-  }
-  return "";
-}
-
-/// The kind-table entry named `name` (nullptr for an unknown name).
-const KindDecl* kind_named(const std::string& name) {
-  for (const KindDecl& kind : experiment_kinds()) {
-    if (name == kind.name) return &kind;
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 const std::vector<std::string>& scn_mutation_classes() {
@@ -437,33 +243,42 @@ ScnMutation mutate_scn(const std::string& valid, Rng& rng,
   const std::string chosen =
       klass.empty() ? pick(rng, scn_mutation_classes()) : klass;
   std::vector<std::string> lines = split_lines(valid);
-  const std::string kind = experiment_of(lines);
-  const KindDecl* decl = kind_named(kind);
+  const KvConfig config = KvConfig::parse_string(valid);
+  const KindDecl& kind =
+      detail::kind_decl(ScenarioSpec::from_config(config).kind);
   ScnMutation m;
   m.klass = chosen;
 
-  const auto insert_into = [&](const std::string& section,
-                               const std::string& line) {
-    std::size_t at = after_section_header(lines, section);
-    if (at == std::string::npos) {
+  // Sets `key = value` in `section`: over the key's line when the spec
+  // sets it there, else just after the section header, else in a new
+  // section at the end.  One bad assignment, no duplicates.
+  const auto plant = [&](const std::string& section, const std::string& key,
+                         const std::string& value) {
+    const std::string line = key + " = " + value;
+    const KvConfig::Section* s = config.find_section(section);
+    if (s == nullptr) {
       lines.push_back("[" + section + "]");
       lines.push_back(line);
+    } else if (const int at = s->line_of(key); at > 0) {
+      lines[static_cast<std::size_t>(at - 1)] = line;
     } else {
-      lines.insert(lines.begin() + static_cast<long>(at), line);
+      lines.insert(lines.begin() + s->line(), line);
     }
   };
 
-  // Drops every assignment of `key`, then plants `line` in `section`
-  // (created at the end when absent): one bad assignment, no duplicates.
-  const auto plant = [&](const std::string& section, const std::string& key,
-                         const std::string& line) {
-    drop_key(lines, key);
-    insert_into(section, line);
+  // A random key row satisfying `keep`.
+  const auto key_where = [&](const auto& keep) -> const KeyDecl& {
+    std::vector<const KeyDecl*> keys;
+    for (const KeyDecl& key : scenario_keys()) {
+      if (keep(key)) keys.push_back(&key);
+    }
+    LAD_REQUIRE_MSG(!keys.empty(), "no key for mutation '" << chosen << "'");
+    return *pick(rng, keys);
   };
 
   if (chosen == "unknown-key") {
     m.needle = "frobnicate";
-    insert_into("scenario", "frobnicate = 1");
+    plant("scenario", "frobnicate", "1");
   } else if (chosen == "unknown-section") {
     m.needle = "frobnicator";
     lines.push_back("[frobnicator]");
@@ -474,14 +289,15 @@ ScnMutation mutate_scn(const std::string& valid, Rng& rng,
     lines.push_back("name = twice");
   } else if (chosen == "duplicate-key") {
     m.needle = "duplicate key";
-    insert_into("scenario", "experiment = " + (kind.empty() ? "roc" : kind));
+    lines.insert(lines.begin() + config.section("scenario").line(),
+                 std::string("experiment = ") + kind.name);
   } else if (chosen == "malformed-range") {
     if (chance(rng, 0.5)) {
       m.needle = "step must be > 0";
-      plant("sweep", "damages", "damages = 40:160:0");
+      plant("sweep", "damages", "40:160:0");
     } else {
       m.needle = "lo must be <= hi";
-      plant("sweep", "damages", "damages = 160:40:20");
+      plant("sweep", "damages", "160:40:20");
     }
   } else if (chosen == "foreign-kind-section") {
     // A kind section belonging to a DIFFERENT kind than the spec's: the
@@ -489,8 +305,7 @@ ScnMutation mutate_scn(const std::string& valid, Rng& rng,
     std::vector<std::string> foreign;
     for (const KindDecl& other : experiment_kinds()) {
       const std::string s = other.section;
-      if (!s.empty() && &other != decl &&
-          after_section_header(lines, s) == std::string::npos) {
+      if (!s.empty() && &other != &kind && !config.has_section(s)) {
         foreign.push_back(s);
       }
     }
@@ -499,60 +314,38 @@ ScnMutation mutate_scn(const std::string& valid, Rng& rng,
     lines.push_back("[" + section + "]");
     lines.push_back(section == "pdf" ? "grid = 4" : "trials = 4");
   } else if (chosen == "foreign-kind-key") {
-    // An optional key another kind reads but the spec's kind does not.
-    std::vector<std::string> foreign;
-    for (const KindDecl& other : experiment_kinds()) {
-      for (const std::string& key : other.reads) {
-        if ((decl == nullptr || !decl->reads_key(key)) &&
-            std::find(foreign.begin(), foreign.end(), key) == foreign.end()) {
-          foreign.push_back(key);
-        }
-      }
-    }
-    const std::string key = pick(rng, foreign);
-    const std::size_t close = key.find("] ");
-    m.needle = key;
-    insert_into(key.substr(1, close - 1), key.substr(close + 2) + " = 1");
+    // A key other kinds reserve, which the spec's kind does not read.
+    const KeyDecl& key = key_where([&](const KeyDecl& k) {
+      return !k.read_by(kind.kind);
+    });
+    m.needle = key.id();
+    plant(key.section, key.key, "1");
   } else if (chosen == "bad-enum") {
-    struct Choice { const char* key; const char* line; const char* needle; };
-    static const std::vector<Choice> choices = {
-        {"attacks", "attacks = nuke", "nuke"},
-        {"metrics", "metrics = banana", "banana"},
-        {"shapes", "shapes = pentagon", "pentagon"},
-        {"localizers", "localizers = gps", "gps"},
-    };
-    const Choice& c = pick(rng, choices);
-    m.needle = c.needle;
-    plant("sweep", c.key, c.line);
+    const KeyDecl& key = key_where([&](const KeyDecl& k) {
+      return kind.accepts(k) && k.type() == KeyType::kName;
+    });
+    m.needle = "banana";
+    plant(key.section, key.key, "banana");
   } else if (chosen == "bad-value") {
-    struct Choice {
-      const char* section;
-      const char* key;
-      const char* line;
-      const char* needle;
-    };
-    static const std::vector<Choice> choices = {
-        {"detector", "tau", "tau = 1.5", "tau"},
-        {"detector", "fp_budget", "fp_budget = 0", "fp_budget"},
-        {"run", "jobs", "jobs = 0", "jobs"},
-        {"pipeline", "m", "m = -3", "m"},
-        {"pipeline", "sigma", "sigma = 0", "sigma"},
-    };
-    const Choice& c = pick(rng, choices);
-    m.needle = c.needle;
-    plant(c.section, c.key, c.line);
+    const KeyDecl& key = key_where([&](const KeyDecl& k) {
+      return kind.accepts(k) &&
+             (k.type() == KeyType::kDouble ||
+              (k.type() == KeyType::kInt && k.range.bounded()));
+    });
+    m.needle = key.id();
+    plant(key.section, key.key, outside(rng, key));
   } else if (chosen == "empty-sweep-list") {
     m.needle = "empty";
-    plant("sweep", "damages", "damages =");
+    plant("sweep", "damages", "");
   } else if (chosen == "unswept-axis") {
     // Two localizers on a kind that does not expand them; a kind that does
     // (dr-sweep) instead gets densities, which only density-sweep reads.
-    if (decl != nullptr && decl->expands("localizers")) {
+    if (kind.expands("localizers")) {
       m.needle = "densities";
-      plant("sweep", "densities", "densities = 100, 300");
+      plant("sweep", "densities", "100, 300");
     } else {
       m.needle = "localizers";
-      plant("sweep", "localizers", "localizers = beaconless-mle, dv-hop");
+      plant("sweep", "localizers", "beaconless-mle, dv-hop");
     }
   } else if (chosen == "unterminated-header") {
     m.needle = "unterminated";
@@ -613,108 +406,81 @@ std::string shrink_scn(
   return text;
 }
 
+namespace {
+
+// "" when the oracle agrees with `m` (no klass: the text must be accepted;
+// otherwise rejected by a named error carrying the needle), else why not.
+std::string misjudged(const ScnMutation& m) {
+  try {
+    check_scn_accepted(m.text);
+    return m.klass.empty()
+               ? ""
+               : "silent acceptance of mutation class '" + m.klass + "'";
+  } catch (const AssertionError& e) {
+    const std::string what = e.what();
+    if (m.klass.empty()) return "valid spec rejected: " + what;
+    if (what.find(m.needle) == std::string::npos) {
+      return "mutation '" + m.klass + "' rejected without naming '" +
+             m.needle + "': " + what;
+    }
+    if (what.find(':') == std::string::npos) {
+      return "mutation '" + m.klass +
+             "' rejected without file:line context: " + what;
+    }
+    return "";
+  } catch (const std::exception& e) {
+    return (m.klass.empty() ? std::string("valid spec crashed the parser: ")
+                            : "mutation '" + m.klass +
+                                  "' crashed instead of asserting: ") +
+           e.what();
+  }
+}
+
+void note(std::vector<std::string>& seen, const std::string& name) {
+  if (std::find(seen.begin(), seen.end(), name) == seen.end()) {
+    seen.push_back(name);
+  }
+}
+
+}  // namespace
+
 FuzzReport fuzz_scn(const FuzzOptions& options) {
   FuzzReport report;
-  std::vector<std::string> classes_seen;
   const std::vector<KindDecl>& kinds = experiment_kinds();
+  const std::vector<std::string>& classes = scn_mutation_classes();
   for (long long i = 0; i < options.iters; ++i) {
     ++report.iterations;
     Rng rng = Rng::stream(options.seed, static_cast<std::uint64_t>(i));
-    // Valid mode round-robins the kinds first, so every run covers each.
-    const std::string valid =
-        !options.invalid && i < static_cast<long long>(kinds.size())
-            ? generate_scn(rng, kinds[static_cast<std::size_t>(i)])
-            : generate_valid_scn(rng);
-
-    if (!options.invalid) {
-      const std::string kind = experiment_of(split_lines(valid));
-      if (std::find(report.kinds_seen.begin(), report.kinds_seen.end(),
-                    kind) == report.kinds_seen.end()) {
-        report.kinds_seen.push_back(kind);
-      }
-      std::string error;
-      try {
-        check_scn_accepted(valid);
-        continue;
-      } catch (const AssertionError& e) {
-        error = std::string("valid spec rejected: ") + e.what();
-      } catch (const std::exception& e) {
-        error = std::string("valid spec crashed the parser: ") + e.what();
-      }
-      FuzzFailure f;
-      f.iteration = i;
-      f.mode = "valid";
-      f.message = error;
-      f.spec = valid;
-      if (options.minimize) {
-        f.minimized = shrink_scn(valid, [](const std::string& t) {
-          try {
-            check_scn_accepted(t);
-            return false;
-          } catch (...) {
-            return true;
-          }
-        });
-      }
-      report.failures.push_back(std::move(f));
-      continue;
+    // Each mode round-robins first (valid mode the kinds, invalid mode the
+    // mutation classes), so every run covers each one.
+    const auto at = static_cast<std::size_t>(i);
+    const KindDecl& kind = !options.invalid && at < kinds.size()
+                               ? kinds[at]
+                               : pick(rng, kinds);
+    ScnMutation m{"", "", generate_scn(rng, kind)};
+    if (options.invalid) {
+      m = mutate_scn(m.text, rng, at < classes.size() ? classes[at] : "");
+      note(report.classes_seen, m.klass);
+    } else {
+      note(report.kinds_seen, kind.name);
     }
-
-    // Invalid mode: round-robin the classes so every run covers each one,
-    // then fill with random picks.
-    const auto& classes = scn_mutation_classes();
-    const std::string forced =
-        i < static_cast<long long>(classes.size())
-            ? classes[static_cast<std::size_t>(i)]
-            : "";
-    const ScnMutation mutation = mutate_scn(valid, rng, forced);
-    if (std::find(classes_seen.begin(), classes_seen.end(),
-                  mutation.klass) == classes_seen.end()) {
-      classes_seen.push_back(mutation.klass);
-    }
-    std::string error;
-    try {
-      check_scn_accepted(mutation.text);
-      error = "silent acceptance of mutation class '" + mutation.klass + "'";
-    } catch (const AssertionError& e) {
-      const std::string what = e.what();
-      if (what.find(mutation.needle) == std::string::npos) {
-        error = "mutation '" + mutation.klass +
-                "' rejected without naming '" + mutation.needle +
-                "': " + what;
-      } else if (what.find(':') == std::string::npos) {
-        error = "mutation '" + mutation.klass +
-                "' rejected without file:line context: " + what;
-      }
-    } catch (const std::exception& e) {
-      error = "mutation '" + mutation.klass +
-              "' crashed instead of asserting: " + e.what();
-    }
+    const std::string error = misjudged(m);
     if (error.empty()) continue;
-    FuzzFailure f;
-    f.iteration = i;
-    f.mode = "invalid";
-    f.klass = mutation.klass;
-    f.message = error;
-    f.spec = mutation.text;
+    FuzzFailure f{i, options.invalid ? "invalid" : "valid", m.klass, error,
+                  m.text, ""};
     if (options.minimize) {
-      const std::string needle = mutation.needle;
-      const bool accepted = error.rfind("silent acceptance", 0) == 0;
-      f.minimized = shrink_scn(mutation.text, [&](const std::string& t) {
-        try {
-          check_scn_accepted(t);
-          return accepted;  // still (wrongly) accepted
-        } catch (const AssertionError& e) {
-          if (accepted) return false;
-          return std::string(e.what()).find(needle) == std::string::npos;
-        } catch (...) {
-          return !accepted;
-        }
+      // Shrink while the spec fails the same way: still wrongly accepted,
+      // or still wrongly rejected.
+      const auto accepted = [](const std::string& why) {
+        return why.rfind("silent acceptance", 0) == 0;
+      };
+      f.minimized = shrink_scn(m.text, [&](const std::string& t) {
+        const std::string why = misjudged({m.klass, m.needle, t});
+        return !why.empty() && accepted(why) == accepted(error);
       });
     }
     report.failures.push_back(std::move(f));
   }
-  report.classes_seen = std::move(classes_seen);
   return report;
 }
 

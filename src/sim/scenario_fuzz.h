@@ -2,11 +2,11 @@
 //
 // Two modes over one seeded generator:
 //
-//  - valid:   emit a random-but-valid spec covering every section, key,
-//             and axis the experiment kinds accept (comma lists and
-//             lo:hi:step ranges, [run] jobs, [detector] blocks, the
-//             kind-specific sections) and require the parser AND the
-//             runner's item accounting to accept it.
+//  - valid:   emit a random-but-valid spec drawn from the key schema
+//             (sim/scenario_kinds.h): any key the kind accepts, values
+//             inside each key's range, comma lists and lo:hi:step
+//             ranges, and require the parser AND the runner's item
+//             accounting to accept it.
 //  - invalid: take a valid spec, inject ONE invalid edit from a named
 //             mutation class (unknown key, duplicate section/key,
 //             malformed range, kind-foreign section or key, ...) and require a

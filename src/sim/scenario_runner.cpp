@@ -460,7 +460,7 @@ void run_dr(KindState& st, const WorkItem& item, ItemSink& sink) {
 
   Table& row = sink.row(0);
   if (spec.group_threshold_modes.size() > 1) {
-    row.add(group_threshold_mode_name(mode));
+    row.add(kGroupThresholdModeNames[static_cast<std::size_t>(mode)]);
   }
   if (spec.actual_sigmas.size() > 1) row.add(actual_sigma, 1);
   if (spec.jitters.size() > 1) row.add(jitter, 1);
@@ -981,7 +981,6 @@ const std::vector<KindDecl>& experiment_kinds() {
   static const std::vector<KindDecl> kinds = {
       {ExperimentKind::kRoc, "roc", "",
        {"metrics", "attacks", "damages", "compromised"},
-       {"[output] fp_grid", "[output] curve_points"},
        roc_tables,
        [](const ScenarioSpec& s) -> ItemLayout {
          return {{s.metrics.size(), s.attacks.size(), s.damages.size(),
@@ -991,8 +990,6 @@ const std::vector<KindDecl>& experiment_kinds() {
       {ExperimentKind::kDrSweep, "dr-sweep", "",
        {"group_thresholds", "actual_sigmas", "jitters", "shapes", "localizers",
         "metrics", "attacks", "compromised", "damages"},
-       {"[sweep] group_thresholds", "[detector] group_min_samples",
-        "[output] loc_error"},
        dr_tables,
        [](const ScenarioSpec& s) -> ItemLayout {
          return {{s.group_threshold_modes.size(), mismatch_pairs(s).size(),
@@ -1002,14 +999,13 @@ const std::vector<KindDecl>& experiment_kinds() {
        run_dr},
       {ExperimentKind::kDensitySweep, "density-sweep", "",
        {"densities", "metrics", "attacks", "compromised", "damages"},
-       {"[sweep] densities", "[quick] densities"},
        density_tables,
        [](const ScenarioSpec& s) -> ItemLayout {
          return {{s.densities.size(), s.metrics.size(), s.attacks.size(),
                   s.compromised.size(), s.damages.size()}};
        },
        run_density},
-      {ExperimentKind::kDeploymentPdf, "deployment-pdf", "pdf", {}, {},
+      {ExperimentKind::kDeploymentPdf, "deployment-pdf", "pdf", {},
        [](const ScenarioSpec&) -> std::vector<TableDecl> {
          return {{"surface", {"x", "y", "pdf"}},
                  {"radial",
@@ -1018,7 +1014,7 @@ const std::vector<KindDecl>& experiment_kinds() {
        },
        [](const ScenarioSpec&) -> ItemLayout { return {{1}, {1}}; },
        run_pdf},
-      {ExperimentKind::kGzAccuracy, "gz-accuracy", "gz", {}, {},
+      {ExperimentKind::kGzAccuracy, "gz-accuracy", "gz", {},
        [](const ScenarioSpec&) -> std::vector<TableDecl> {
          return {{"gz",
                   {"omega", "max_abs_error", "max_mu_error_nodes",
@@ -1028,7 +1024,6 @@ const std::vector<KindDecl>& experiment_kinds() {
        run_gz},
       {ExperimentKind::kCorrection, "correction", "correction",
        {"attacks", "damages"},
-       {"[quick] trials"},
        [](const ScenarioSpec&) -> std::vector<TableDecl> {
          return {{"benign_floor", {"mean_err", "max_err", "trials"}},
                  {"correction",
@@ -1041,7 +1036,6 @@ const std::vector<KindDecl>& experiment_kinds() {
        run_correction},
       {ExperimentKind::kEchoComparison, "echo-comparison", "echo",
        {"damages"},
-       {"[quick] trials"},
        [](const ScenarioSpec&) -> std::vector<TableDecl> {
          return {{"meta", {"echo_coverage", "lad_threshold"}},
                  {"echo",
@@ -1054,14 +1048,12 @@ const std::vector<KindDecl>& experiment_kinds() {
        run_echo},
       {ExperimentKind::kMetricFusion, "metric-fusion", "",
        {"metrics"},
-       {"[detector] bundle"},
        fusion_tables,
        [](const ScenarioSpec& s) -> ItemLayout {
          return {{1}, {s.metrics.size()}};
        },
        run_fusion},
       {ExperimentKind::kMmseVulnerability, "mmse-vulnerability", "mmse", {},
-       {"[quick] trials", "[quick] dvhop_trials"},
        [](const ScenarioSpec&) -> std::vector<TableDecl> {
          return {{"mmse", {"lie_m", "mmse_mean_err", "mmse_max_err"}},
                  {"dvhop", {"lie_m", "dvhop_mean_err"}}};
@@ -1071,7 +1063,7 @@ const std::vector<KindDecl>& experiment_kinds() {
        },
        run_mmse},
       {ExperimentKind::kThresholdSensitivity, "threshold-sensitivity",
-       "threshold", {"damages"}, {},
+       "threshold", {"damages"},
        threshold_tables,
        [](const ScenarioSpec& s) -> ItemLayout {
          return {{s.taus.size()}, {s.fudges.size()}};
@@ -1079,7 +1071,6 @@ const std::vector<KindDecl>& experiment_kinds() {
        run_threshold},
       {ExperimentKind::kTimeEvolving, "time-evolving", "evolve",
        {"attacks", "damages"},
-       {"[quick] trials"},
        [](const ScenarioSpec&) -> std::vector<TableDecl> {
          return {{"meta", {"lad_threshold", "rounds", "trials"}},
                  {"evolve", {"attack", "D", "round", "corrupted", "DR"}}};
@@ -1090,7 +1081,6 @@ const std::vector<KindDecl>& experiment_kinds() {
        run_evolve},
       {ExperimentKind::kInNetwork, "in-network", "coop",
        {"damages"},
-       {"[quick] trials"},
        [](const ScenarioSpec&) -> std::vector<TableDecl> {
          return {{"fp", {"solo_FP", "node_FP", "coop_FP", "mean_voters"}},
                  {"coop",

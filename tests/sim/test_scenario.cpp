@@ -292,6 +292,35 @@ TEST(ScenarioSpec, OutOfRangeValuesAreRejectedByKey) {
        "[sweep] localizers: unknown localizer 'truth-noise:inf'"},
       {"echo-comparison", "[echo]\nrange = -5\n",
        "[echo] range must be > 0, got -5"},
+      // Non-finite and out-of-range values that once ran silently or
+      // failed mid-run on an internal assertion.
+      {"dr-sweep", "[pipeline]\nr = inf\n",
+       "[pipeline] r must be finite, got inf"},
+      {"dr-sweep", "[pipeline]\nfield = inf\n",
+       "[pipeline] field must be finite, got inf"},
+      {"dr-sweep", "[pipeline]\nr = 0\n", "[pipeline] r must be > 0, got 0"},
+      {"dr-sweep", "[pipeline]\nsigma = nan\n",
+       "[pipeline] sigma must be finite, got nan"},
+      {"echo-comparison", "[sweep]\ndamages = inf\n",
+       "[sweep] damages must be finite, got inf"},
+      {"dr-sweep", "[sweep]\njitters = nan\n",
+       "[sweep] jitters must be finite, got nan"},
+      {"dr-sweep", "[sweep]\njitters = -5\n",
+       "[sweep] jitters must be >= 0, got -5"},
+      {"dr-sweep", "[sweep]\nactual_sigmas = -5\n",
+       "[sweep] actual_sigmas must be >= 0, got -5"},
+      {"echo-comparison", "[echo]\nrange = inf\n",
+       "[echo] range must be finite, got inf"},
+      {"in-network", "[coop]\nradius = inf\n",
+       "[coop] radius must be finite, got inf"},
+      {"mmse-vulnerability", "[mmse]\nlies = nan\n",
+       "[mmse] lies must be finite, got nan"},
+      {"mmse-vulnerability", "[mmse]\nlies = -100\n",
+       "[mmse] lies must be >= 0, got -100"},
+      {"roc", "[output]\nfp_grid = -1\n",
+       "[output] fp_grid must be in [0,1], got -1"},
+      {"roc", "[output]\nfp_grid = nan\n",
+       "[output] fp_grid must be finite, got nan"},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(row.body);

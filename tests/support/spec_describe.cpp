@@ -5,6 +5,12 @@
 #include <sstream>
 #include <vector>
 
+#include "attack/adversary.h"
+#include "core/metric.h"
+#include "deploy/deployment_model.h"
+#include "sim/pipeline.h"
+#include "sim/scenario.h"
+
 namespace lad::test {
 
 namespace {
