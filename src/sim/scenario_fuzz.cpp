@@ -41,51 +41,29 @@ const T& pick(Rng& rng, const std::vector<T>& options) {
 // ---------------------------------------------------------------------
 // Values drawn from a key row.
 
-// The values a numeric key draws from: base + k * unit for k in
-// [kmin, kmax], inside the key's range (open ends excluded) and exact at
-// `decimals` digits.  An unbounded end is capped 40 integers or 400 units
-// past the other.
-struct Grid {
-  double base;
-  double unit;
-  long long kmin;
-  long long kmax;
-  int decimals;
-
-  std::string step(long long k) const {
-    return format_double(static_cast<double>(k) * unit, decimals);
-  }
-  std::string at(long long k) const {
-    return format_double(base + static_cast<double>(k) * unit, decimals);
-  }
-};
-
-Grid grid_of(const KeyDecl& key) {
-  const Range& r = key.range;
-  const double lo = std::isfinite(r.lo) ? r.lo : 0.0;
-  const long long kmin = r.lo_open ? 1 : 0;
-  if (key.type() == KeyType::kInt) {
-    const double span = std::isfinite(r.hi) ? r.hi - lo : 40.0;
-    return {lo, 1.0, kmin, static_cast<long long>(span) - (r.hi_open ? 1 : 0),
-            0};
-  }
-  const double hi = std::isfinite(r.hi) ? r.hi : lo + 400.0;
-  return {lo, (hi - lo) / 100, kmin, r.hi_open ? 99 : 100, 2};
-}
-
-// `n` values of a numeric key: a comma list or, sometimes, one
-// lo:hi:step range.
+// `n` values of a numeric key, inside its range (open ends excluded) and
+// exact at two decimals: lo + k * unit for k in [k0, k1], where an
+// unbounded end sits 40 integers or 400 units past the other.  A list
+// sometimes comes as one lo:hi:step range.
 std::string numbers(Rng& rng, const KeyDecl& key, int n) {
-  const Grid g = grid_of(key);
+  const Range& r = key.range;
+  const bool is_int = key.type() == KeyType::kInt;
+  const double lo = std::isfinite(r.lo) ? r.lo : 0.0;
+  const double hi = std::isfinite(r.hi) ? r.hi : lo + (is_int ? 40 : 400);
+  const double unit = is_int ? 1.0 : (hi - lo) / 100;
+  const long long k0 = r.lo_open ? 1 : 0;
+  const long long k1 = std::llround((hi - lo) / unit) - (r.hi_open ? 1 : 0);
+  const auto value = [&](double base, long long k) {
+    return format_double(base + static_cast<double>(k) * unit, is_int ? 0 : 2);
+  };
   if (n > 1 && chance(rng, 0.35)) {
-    const long long start = draw(rng, g.kmin, (g.kmin + g.kmax) / 2);
-    const long long step =
-        draw(rng, 1, std::max(1LL, (g.kmax - start) / (n - 1)));
-    return g.at(start) + ":" + g.at(start + (n - 1) * step) + ":" +
-           g.step(step);
+    const long long start = draw(rng, k0, (k0 + k1) / 2);
+    const long long step = draw(rng, 1, std::max(1LL, (k1 - start) / (n - 1)));
+    return value(lo, start) + ":" + value(lo, start + (n - 1) * step) + ":" +
+           value(0.0, step);
   }
   std::vector<std::string> out;
-  for (int i = 0; i < n; ++i) out.push_back(g.at(draw(rng, g.kmin, g.kmax)));
+  for (int i = 0; i < n; ++i) out.push_back(value(lo, draw(rng, k0, k1)));
   return join(out, ", ");
 }
 
