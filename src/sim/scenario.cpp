@@ -402,25 +402,21 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
                                            << s.name() << "]");
   }
 
-  // The same for keys only some kinds read ("[quick] dvhop_trials" on a
-  // gz-accuracy spec): each is rejected by name on every other kind.
+  // Then every other key: read, or, when only other kinds read it
+  // ("[quick] dvhop_trials" on a gz-accuracy spec), rejected by name.
   for (const KeyDecl& key : keys) {
-    const KvConfig::Section* section = config.find_section(key.section);
-    if (key.read_by(spec.kind) || section == nullptr ||
-        !section->has(key.key)) {
-      continue;
+    if (!key.read_by(spec.kind)) {
+      const KvConfig::Section* section = config.find_section(key.section);
+      if (section == nullptr || !section->has(key.key)) continue;
+      std::vector<std::string> readers;
+      for (ExperimentKind k : key.kinds) {
+        readers.push_back(experiment_kind_name(k));
+      }
+      LAD_REQUIRE_MSG(false, config.origin()
+                                 << ": " << key.id() << " is only read by "
+                                 << join(readers, ", ") << " (this is "
+                                 << kind.name << ")");
     }
-    std::vector<std::string> readers;
-    for (ExperimentKind k : key.kinds) {
-      readers.push_back(experiment_kind_name(k));
-    }
-    LAD_REQUIRE_MSG(false, config.origin()
-                               << ": " << key.id() << " is only read by "
-                               << join(readers, ", ") << " (this is "
-                               << kind.name << ")");
-  }
-
-  for (const KeyDecl& key : keys) {
     if (key.section != std::string_view("scenario")) {
       read_key(key, config, spec);
     }
