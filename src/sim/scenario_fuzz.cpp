@@ -103,7 +103,8 @@ std::string outside(Rng& rng, const KeyDecl& key) {
       std::isfinite(r.lo) && (!std::isfinite(r.hi) || chance(rng, 0.5));
   const double edge = below ? r.lo : r.hi;
   const bool open = below ? r.lo_open : r.hi_open;
-  return format_double(open ? edge : below ? edge - 1 : edge + 1, 0);
+  return format_double(open ? edge : below ? edge - 1 : edge + 1,
+                       key.type() == KeyType::kInt ? 0 : 6);
 }
 
 // ---------------------------------------------------------------------
