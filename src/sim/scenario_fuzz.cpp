@@ -279,19 +279,13 @@ ScnMutation mutate_scn(const std::string& valid, Rng& rng,
       plant("sweep", "damages", "160:40:20");
     }
   } else if (chosen == "foreign-kind-section") {
-    // A kind section belonging to a DIFFERENT kind than the spec's: the
-    // spec's own section (present or not) must not be a candidate.
-    std::vector<std::string> foreign;
-    for (const KindDecl& other : experiment_kinds()) {
-      const std::string s = other.section;
-      if (!s.empty() && &other != &kind && !config.has_section(s)) {
-        foreign.push_back(s);
-      }
-    }
-    const std::string section = pick(rng, foreign);
-    m.needle = "[" + section + "]";
-    lines.push_back("[" + section + "]");
-    lines.push_back(section == "pdf" ? "grid = 4" : "trials = 4");
+    // A valid key of a DIFFERENT kind's own section than the spec's.
+    const KeyDecl& key = key_where([&](const KeyDecl& k) {
+      return !detail::is_common_section(k.section) &&
+             std::string_view(k.section) != kind.section;
+    });
+    m.needle = "[" + std::string(key.section) + "]";
+    plant(key.section, key.key, valid_value(rng, key, 1));
   } else if (chosen == "foreign-kind-key") {
     // A key other kinds reserve, which the spec's kind does not read.
     const KeyDecl& key = key_where([&](const KeyDecl& k) {
